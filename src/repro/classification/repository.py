@@ -26,6 +26,7 @@ from repro.classification.stores import (
     MemoryStore,
 )
 from repro.xmltree.document import Document
+from repro.xmltree.serializer import serialize_document
 
 
 class Repository:
@@ -87,6 +88,20 @@ class Repository:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._store)
+
+    def texts(self) -> Iterator[str]:
+        """Each held document's ``serialize_document(d,
+        xml_declaration=False)`` text, in insertion order: the store's
+        own :meth:`~repro.classification.stores.DocumentStore.texts`
+        (disk-backed stores copy what they wrote, without parsing), or
+        a serialization of each document on stores without it."""
+        texts = getattr(self._store, "texts", None)
+        if texts is not None:
+            return texts()
+        return (
+            serialize_document(document, xml_declaration=False)
+            for document in self._store
+        )
 
     def is_empty(self) -> bool:
         return len(self._store) == 0

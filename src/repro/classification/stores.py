@@ -2,9 +2,10 @@
 
 The repository of Section 2 is, operationally, an ordered multiset of
 documents with exactly three lifecycle operations: *deposit* (a document
-no DTD describes well enough), *inspection* (iteration, for snapshots
-and clustering), and *drain* (remove documents for re-classification
-after an evolution).  :class:`DocumentStore` captures that contract so
+no DTD describes well enough), *inspection* (iteration for clustering,
+and :meth:`~DocumentStore.texts` — the stored text, unparsed — for
+snapshots), and *drain* (remove documents for re-classification after
+an evolution).  :class:`DocumentStore` captures that contract so
 the backing representation can vary without touching the pipeline:
 
 - :class:`MemoryStore` — a plain in-process list (the seed behaviour);
@@ -187,6 +188,17 @@ class DocumentStore(Protocol):
     def __iter__(self) -> Iterator[Document]:
         """Iterate the held documents in insertion order (no removal)."""
 
+    def texts(self) -> Iterator[str]:
+        """The canonical text of each held document, in insertion order
+        (no removal, no parse): ``serialize_document(d,
+        xml_declaration=False)`` — what snapshots copy.
+
+        Disk-backed stores return the text they wrote at :meth:`add`.
+        The default serializes each document :meth:`__iter__` yields.
+        """
+        for document in self:
+            yield serialize_document(document, xml_declaration=False)
+
     def drain(self, accepts: Optional[DrainPredicate] = None) -> List[Document]:
         """Remove and return matching documents (all when ``accepts`` is
         ``None``); non-matching documents stay, in order."""
@@ -217,6 +229,10 @@ class MemoryStore:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)
+
+    def texts(self) -> Iterator[str]:
+        for document in self._documents:
+            yield serialize_document(document, xml_declaration=False)
 
     def drain(self, accepts: Optional[DrainPredicate] = None) -> List[Document]:
         if accepts is None:
@@ -484,13 +500,17 @@ class JsonlStore:
                 rec_id, xml = json.loads(stripped)
                 yield int(rec_id), xml
 
-    def __iter__(self) -> Iterator[Document]:
+    def texts(self) -> Iterator[str]:
+        """The record lines' XML, tombstoned records skipped."""
         if self._append is not None:
             self._append.flush()
         for segment in self._segments:
             for rec_id, xml in self._read_segment(segment.path):
                 if rec_id not in self._tombstones:
-                    yield parse_document(xml)
+                    yield xml
+
+    def __iter__(self) -> Iterator[Document]:
+        return map(parse_document, self.texts())
 
     # -- drain + compaction ---------------------------------------------
 
@@ -765,11 +785,16 @@ class SqliteStore:
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[Document]:
+    def texts(self) -> Iterator[str]:
+        """The ``xml`` column in insertion order, pending inserts
+        included (they are visible on this connection)."""
         for (xml,) in self._connection.execute(
             "SELECT xml FROM documents ORDER BY id"
         ):
-            yield parse_document(xml)
+            yield xml
+
+    def __iter__(self) -> Iterator[Document]:
+        return map(parse_document, self.texts())
 
     def drain(self, accepts: Optional[DrainPredicate] = None) -> List[Document]:
         if accepts is None:

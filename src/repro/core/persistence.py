@@ -11,10 +11,18 @@ The repository is read and restored through the
 snapshots tag which backend held the documents (``memory``, ``jsonl``
 or ``sqlite``) plus the index metadata of an indexed backend and the
 DTD shard map of a sharded classifier, and loading re-materialises into
-that backend (re-indexing document by document) unless the caller
-overrides it with ``store=`` / ``sharded=``.  Format 2 snapshots (no
-index/shard metadata) and format 1 snapshots (a plain document list)
-still load.
+that backend (one bulk ``add_many``, re-indexing as it goes) unless the
+caller overrides it with ``store=`` / ``sharded=``.  Format 2 snapshots
+(no index/shard metadata) and format 1 snapshots (a plain document
+list) still load.
+
+A snapshot copies each repository document's text from the store
+(:meth:`~repro.classification.repository.Repository.texts`) without
+parsing it: disk-backed stores already hold exactly
+``serialize_document(d, xml_declaration=False)``, and the serializer is
+a fixed point of parse-then-serialize, so the copy equals a
+parse-and-serialize round trip byte for byte.  :func:`save_source`
+replaces the target file atomically.
 
 Runtime-only collaborators (trigger sets, tag matchers, fast-path
 configs) are *not* serialised; pass them again at load time.  The same
@@ -32,7 +40,8 @@ would have — including snapshots taken mid-batch between two
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+import os
+from typing import Any, Dict, Tuple
 
 from repro.classification.sharding import ShardedClassifier
 from repro.classification.stores import store_kind
@@ -41,7 +50,6 @@ from repro.core.evolution import EvolutionConfig
 from repro.core.extended_dtd import ElementRecord, ExtendedDTD
 from repro.dtd.dtd import DTD, AttributeDecl, ElementDecl
 from repro.xmltree.parser import parse_document
-from repro.xmltree.serializer import serialize_document
 from repro.xmltree.tree import Tree
 
 FORMAT_VERSION = 3
@@ -218,12 +226,13 @@ def source_to_json(source: XMLSource) -> Dict[str, Any]:
     """Snapshot an :class:`XMLSource` (triggers/tag matchers excluded).
 
     The repository section records the backing store kind alongside the
-    documents themselves (read through the store protocol), plus the
-    index description when the backend is indexed, so a restored source
-    lands on the same backend by default.  The classifier section
-    records whether the source classifies sharded and the shard map at
-    snapshot time — the map itself is advisory metadata (a load
-    re-derives the identical clustering deterministically).
+    documents' canonical text (copied from the store, never re-parsed),
+    plus the index description when the backend is indexed, so a
+    restored source lands on the same backend by default.  The
+    classifier section records whether the source classifies sharded
+    and the shard map at snapshot time — the map itself is advisory
+    metadata (a load re-derives the identical clustering
+    deterministically).
     """
     store = source.repository.store
     index_metadata = (
@@ -252,10 +261,7 @@ def source_to_json(source: XMLSource) -> Dict[str, Any]:
         "repository": {
             "store": store_kind(store),
             "index": index_metadata,
-            "documents": [
-                serialize_document(document, xml_declaration=False)
-                for document in source.repository
-            ],
+            "documents": list(source.repository.texts()),
         },
     }
 
@@ -309,15 +315,55 @@ def source_from_json(
             extended, source.similarity_config
         )
     source.documents_processed = data["documents_processed"]
-    for xml in documents:
-        source.repository.add(parse_document(xml))
+    source.repository.add_many(parse_document(xml) for xml in documents)
     return source
 
 
+def _create_beside(directory: str, base: str) -> Tuple[str, int]:
+    """A new, uniquely named file next to ``base`` in ``directory``,
+    opened for writing with the mode ``open(path, "w")`` would create."""
+    while True:
+        temp = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
+        try:
+            return temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+def _fsync_directory(directory: str) -> None:
+    """Make a rename inside ``directory`` durable (POSIX only)."""
+    if not hasattr(os, "O_DIRECTORY"):
+        return
+    descriptor = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 def save_source(source: XMLSource, path: str) -> None:
-    """Write a source snapshot to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(source_to_json(source), handle, indent=1)
+    """Write a source snapshot to a JSON file, atomically.
+
+    The snapshot goes to a temp file beside ``path`` that is flushed,
+    fsynced and then ``os.replace``-d onto ``path``; the directory is
+    fsynced last.  A reader, or a restart after a crash, finds either
+    the previous checkpoint or the new one, never a torn file.  If
+    anything raises, the temp file is removed, ``path`` is untouched
+    and the exception propagates.
+    """
+    data = source_to_json(source)
+    directory, base = os.path.split(os.path.abspath(path))
+    temp, descriptor = _create_beside(directory, base)
+    try:
+        with open(descriptor, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, indent=1)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+    _fsync_directory(directory)
 
 
 def load_source(

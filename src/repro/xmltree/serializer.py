@@ -46,8 +46,13 @@ def serialize_element(element: Element, indent: str = "", depth: int = 0) -> str
     round-trips exactly through the parser.  With a non-empty ``indent``,
     element-only content is pretty-printed; mixed content is kept inline
     so no text is perturbed.
+
+    An element whose children are all empty text nodes self-closes just
+    like a childless one: the parser reads ``<a></a>`` back as a
+    childless element, so writing anything else would make the output
+    differ from its own re-serialization.
     """
-    if not element.children:
+    if all(isinstance(child, Text) and not child.value for child in element.children):
         return _open_tag(element, self_closing=True)
 
     has_text = any(

@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
+import stat
+from contextlib import closing
 
 import pytest
 
-from repro.classification.stores import JsonlStore, MemoryStore
+from repro.classification.repository import Repository
+from repro.classification.stores import JsonlStore, MemoryStore, make_store
+from repro.core import persistence
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.core.persistence import (
@@ -23,7 +28,13 @@ from repro.core.persistence import (
 )
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
+from repro.xmltree.parser import parse_document
 from repro.xmltree.serializer import serialize_document
+
+from tests.test_store_equivalence import _drain_workload
+from tests.test_stores import selected_store_kinds
+
+STORE_KINDS = selected_store_kinds()
 
 
 _CONFIG = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
@@ -267,3 +278,193 @@ class TestFormatVersions:
         save_source(source, path)
         restored = load_source(path, fastpath=FastPathConfig.disabled())
         assert not restored.fastpath.validity_short_circuit
+
+
+def _store_source(kind, tmp_path, **kwargs):
+    store = "memory"
+    if kind != "memory":
+        store = make_store(kind, str(tmp_path / f"r.{kind}"))
+    return _fresh_source(store=store, **kwargs)
+
+
+def _release(source):
+    source.close()
+    close_store = getattr(source.repository.store, "close", None)
+    if close_store is not None:
+        close_store()
+
+
+def _xml(document):
+    return serialize_document(document, xml_declaration=False)
+
+
+def _reference_snapshot(source):
+    """The snapshot as it was built before stores exposed ``texts()``:
+    every repository document parsed back and serialized again."""
+    data = source_to_json(source)
+    data["repository"]["documents"] = [_xml(d) for d in source.repository]
+    return data
+
+
+class TestSnapshotCopiesStoredText:
+    """``source_to_json`` copies the text a store already holds; it must
+    equal the parse-and-serialize reference on every backend."""
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_drift_stream_matches_the_reference(self, tmp_path, kind):
+        filler, deep, recoverable, drift = _drain_workload()
+        stream = (
+            filler[:20] + recoverable + deep + filler[20:] + drift
+            + figure3_workload(15, 15, seed=3)
+        )
+        source = _store_source(kind, tmp_path)
+        try:
+            for document in stream:
+                source.process(document.copy())
+                assert source_to_json(source) == _reference_snapshot(source)
+            assert source.evolution_count >= 2
+            assert sum(e.recovered_from_repository for e in source.evolution_log) > 0
+            if kind == "sqlite":
+                assert source.perf_snapshot()["drain_index_hits"] >= 1
+                # indexed drains removed rows from the middle of the table
+                rows = source.repository.store._connection.execute(
+                    "SELECT id FROM documents ORDER BY id"
+                )
+                ids = [doc_id for (doc_id,) in rows]
+                assert ids != list(range(ids[0], ids[0] + len(ids)))
+            path = str(tmp_path / "checkpoint.json")
+            save_source(source, path)
+            with open(path, encoding="utf-8") as handle:
+                saved = handle.read()
+            assert saved == json.dumps(_reference_snapshot(source), indent=1)
+        finally:
+            _release(source)
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_snapshot_inside_an_open_bulk_window(self, tmp_path, kind):
+        filler = _drain_workload()[0][:15]
+        source = _store_source(kind, tmp_path)
+        try:
+            source.process_many([d.copy() for d in filler[:5]])
+            with source.repository.bulk():
+                for document in filler[5:]:
+                    source.process(document.copy())
+                if kind == "sqlite":
+                    # the window's inserts are not committed yet ...
+                    with closing(sqlite3.connect(source.repository.store.path)) as other:
+                        (committed,) = other.execute(
+                            "SELECT COUNT(*) FROM documents"
+                        ).fetchone()
+                    assert committed == 5
+                snapshot = source_to_json(source)
+                assert snapshot == _reference_snapshot(source)
+            # ... but the snapshot holds them, in order
+            assert snapshot["repository"]["documents"] == [_xml(d) for d in filler]
+        finally:
+            _release(source)
+
+    @pytest.mark.skipif("jsonl" not in STORE_KINDS, reason="jsonl not selected")
+    def test_jsonl_tombstones_and_compaction(self, tmp_path):
+        store = JsonlStore(
+            str(tmp_path / "r.jsonl"), segment_records=4, compact_ratio=0.5
+        )
+        source = _fresh_source(store=store)
+        try:
+            documents = [parse_document(f"<q{i}><r/></q{i}>") for i in range(12)]
+            for document in documents:
+                source.process(document)
+            # one of four records in the first segment: tombstoned only
+            source.repository.drain(lambda d: d.root.tag == "q1")
+            assert os.path.exists(store.path + ".tombstones")
+            assert source_to_json(source) == _reference_snapshot(source)
+            # two of four in the second segment: that segment is compacted
+            source.repository.drain(lambda d: d.root.tag in ("q5", "q6"))
+            assert source.perf_snapshot()["segments_compacted"] == 1
+            source.process(parse_document("<late><r/></late>"))
+            snapshot = source_to_json(source)
+            assert snapshot == _reference_snapshot(source)
+            kept = [d for i, d in enumerate(documents) if i not in (1, 5, 6)]
+            assert snapshot["repository"]["documents"] == [
+                _xml(d) for d in kept
+            ] + ["<late><r/></late>"]
+        finally:
+            _release(source)
+
+
+class TestAtomicSave:
+    def test_a_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.json"
+        documents = _workload()
+        source = _fresh_source()
+        source.process_many([d.copy() for d in documents[:10]])
+        save_source(source, str(path))
+        first = path.read_bytes()
+        source.process_many([d.copy() for d in documents[10:]])
+
+        real_source_to_json = persistence.source_to_json
+
+        def poisoned(snapshotted):
+            # an unencodable value after the aggregates: the encoder has
+            # written part of the file when it raises
+            data = real_source_to_json(snapshotted)
+            data["extended"].append(object())
+            return data
+
+        removed_sizes = []
+        real_remove = os.remove
+
+        def remove(name):
+            removed_sizes.append(os.path.getsize(name))
+            real_remove(name)
+
+        monkeypatch.setattr(persistence, "source_to_json", poisoned)
+        monkeypatch.setattr(persistence.os, "remove", remove)
+        with pytest.raises(TypeError):
+            save_source(source, str(path))
+        monkeypatch.undo()
+
+        assert removed_sizes and removed_sizes[0] > 0  # a partial temp file
+        assert os.listdir(str(tmp_path)) == ["checkpoint.json"]
+        assert path.read_bytes() == first
+        assert load_source(str(path)).documents_processed == 10
+
+    def test_save_replaces_the_target_with_the_same_bytes_and_mode(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text("a stale, torn checkpoint")
+        source = _fresh_source()
+        source.process_many([d.copy() for d in _workload()[:6]])
+        save_source(source, str(path))
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            source_to_json(source), indent=1
+        )
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert os.listdir(str(tmp_path)) == ["checkpoint.json"]
+
+
+class TestBulkRestore:
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_the_repository_is_restored_in_one_bulk_add(
+        self, tmp_path, kind, monkeypatch
+    ):
+        source = _store_source(kind, tmp_path)
+        try:
+            for document in _drain_workload()[0][:12]:
+                source.process(document.copy())
+            data = json.loads(json.dumps(source_to_json(source)))
+        finally:
+            _release(source)
+
+        def single_add(self, document):
+            raise AssertionError("restore must not add documents one by one")
+
+        monkeypatch.setattr(Repository, "add", single_add)
+        restored = source_from_json(data)
+        try:
+            assert source_to_json(restored) == data
+            if kind != "memory":
+                # one flush/transaction for the whole repository
+                assert restored.perf_snapshot()["ingest_batch_commits"] == 1
+        finally:
+            _release(restored)

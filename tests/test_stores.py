@@ -113,6 +113,16 @@ class TestStoreContract:
         assert len(store) == 3
         assert [_xml(d) for d in store] == [_xml(d) for d in documents]
 
+    def test_texts_are_the_canonical_text_in_insertion_order(self, store):
+        documents = _documents()
+        store.add_many(documents)
+        store.drain(lambda d: d.root.tag == "b")  # a gap in the middle
+        store.add(parse_document("<late/>"))
+        expected = [_xml(documents[0]), _xml(documents[2]), "<late/>"]
+        assert list(store.texts()) == expected
+        assert [_xml(d) for d in store] == expected
+        assert len(store) == 3  # reading texts removes nothing
+
     def test_bulk_window_nests_and_reads_through(self, store):
         bulk = getattr(store, "bulk", None)
         if bulk is None:
@@ -643,6 +653,28 @@ class TestUnknownBackendPersistence:
             ]
         finally:
             restored.close()
+        source.close()
+
+    def test_snapshot_serializes_a_store_without_texts(self):
+        from repro.core.engine import XMLSource
+        from repro.core.persistence import source_to_json
+        from repro.xmltree.document import Document, Element, Text
+
+        store = self._ThirdParty()
+        assert not hasattr(store, "texts")
+        source = XMLSource([], store=store)
+        source.repository.add(parse_document("<q><r>1</r></q>"))
+        # built through the API: an empty text child, written as <s/>
+        source.repository.add(
+            Document(Element("q", children=[Element("s", children=[Text("")])]))
+        )
+
+        with pytest.warns(RuntimeWarning, match="unknown document-store backend"):
+            snapshot = source_to_json(source)
+        assert snapshot["repository"]["documents"] == [
+            "<q><r>1</r></q>", "<q><s/></q>",
+        ]
+        assert list(source.repository.texts()) == [_xml(d) for d in store]
         source.close()
 
 
