@@ -10,20 +10,7 @@ Also runnable as a script for the classification fast-path comparison
 [--smoke]`` times three classification workloads against a five-DTD
 source with the fast paths on and off, checks the outcomes agree,
 and writes ``benchmarks/results/BENCH_micro.json``.  The script also
-runs the engine batch serially and with ``workers=4``
-(``repro.parallel``), asserts the outcomes are identical, and records
-both timings plus the machine's CPU count and an overhead breakdown
-(snapshot bytes and serialize seconds, payload bytes per document,
-pool spin-ups, snapshot builds/reuses) — the speedup is only
-meaningful on a multi-core box, so it is marked ``unreliable`` below
-two CPUs and judged by the ``--gate-parallel`` CI gate only on four
-or more (where workers=4 must beat serial above ``GATE_MIN_DOCS``
-documents; the gate exits nonzero after writing the JSON otherwise).
-``--sharded`` builds the engines sharded and mixes in vocabulary-
-disjoint structure-only DTD families so the parallel leg measures the
-shard fan-out path (per-shard snapshots, single-shard routing) and
-asserts it actually fired.
-It then re-runs the engine batch with a live tracer (``repro.obs``),
+runs an engine batch untraced and with a live tracer (``repro.obs``),
 asserts the traced outcomes are identical, the span tree is singly
 rooted, and the traced/untraced ratio stays under 2x (the decision-10
 "disabled tracing is free" guard) — pass ``--emit-metrics`` to embed
@@ -54,7 +41,7 @@ import pytest
 from repro.classification.classifier import Classifier
 from repro.core.structure_builder import build_structure
 from repro.dtd.automaton import ContentAutomaton, Validator
-from repro.dtd.parser import parse_content_model, parse_dtd
+from repro.dtd.parser import parse_content_model
 from repro.generators.documents import DocumentGenerator
 from repro.generators.scenarios import (
     auction_scenario,
@@ -206,7 +193,7 @@ def test_micro_fastpath_repeated_stream(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Engine batch: serial vs parallel (repro.parallel)
+# Engine batch
 # ----------------------------------------------------------------------
 
 
@@ -218,146 +205,22 @@ def _engine_corpus(makers, per_scenario):
     )
 
 
-#: the parallel bench gate only judges speedup at or above this many
-#: documents — below, per-batch fixed costs (one pool spin-up, one
-#: snapshot build) dominate and the measurement says nothing about the
-#: steady state the driver is optimized for
-GATE_MIN_DOCS = 600
-
-
-def _engine_run(dtds, documents, workers, sharded=False):
+def _engine_run(dtds, documents):
     from repro.core.engine import XMLSource
     from repro.core.evolution import EvolutionConfig
 
     source = XMLSource(
         [dtd.copy() for dtd in dtds],
         EvolutionConfig(sigma=0.4, tau=0.05, min_documents=25),
-        sharded=sharded,
     )
     start = time.perf_counter()
-    outcomes = source.process_many(
-        [document.copy() for document in documents], workers=workers
-    )
+    outcomes = source.process_many([document.copy() for document in documents])
     elapsed = time.perf_counter() - start
     view = [
         (outcome.dtd_name, outcome.similarity, tuple(outcome.evolved))
         for outcome in outcomes
     ]
-    return view, elapsed, source
-
-
-def _shard_corpus(per_dtd):
-    """Vocabulary-disjoint, text-free DTD families — the only workload
-    shape the shard screen can route to a single shard (any ``#PCDATA``
-    shard overlaps every text-bearing document), so the ``--sharded``
-    leg measures real fan-out rather than the full-snapshot fallback."""
-    dtds, documents = [], []
-    for index in range(4):
-        dtds.append(
-            parse_dtd(
-                f"<!ELEMENT r{index} (m{index}+)>"
-                f"<!ELEMENT m{index} (l{index}*)>"
-                f"<!ELEMENT l{index} EMPTY>",
-                name=f"struct{index}",
-            )
-        )
-        for doc_index in range(per_dtd):
-            leaves = f"<l{index}/>" * (doc_index % 4)
-            members = f"<m{index}>{leaves}</m{index}>" * (1 + doc_index % 3)
-            documents.append(parse_document(f"<r{index}>{members}</r{index}>"))
-    return dtds, documents
-
-
-def _engine_compare(dtds, documents, workers, sharded=False):
-    from repro.parallel import wire_overhead
-
-    serial_view, serial_time, serial_source = _engine_run(
-        dtds, documents, 0, sharded=sharded
-    )
-    parallel_view, parallel_time, parallel_source = _engine_run(
-        dtds, documents, workers, sharded=sharded
-    )
-    if serial_view != parallel_view:
-        raise AssertionError("engine_parallel: serial and parallel outcomes diverge")
-    if serial_source.evolution_count != parallel_source.evolution_count:
-        raise AssertionError("engine_parallel: evolution counts diverge")
-    speedup = serial_time / parallel_time if parallel_time > 0 else float("inf")
-    cpu_count = os.cpu_count() or 1
-    # overhead breakdown: offline wire estimate (against the serial
-    # source's final state, over a sample) plus the parallel run's own
-    # pool/snapshot counters
-    overhead = wire_overhead(serial_source, documents[:100])
-    perf = parallel_source.perf_snapshot()
-    overhead.update(
-        pool_spinups=perf["pool_spinups"],
-        pool_reuses=perf["pool_reuses"],
-        snapshot_builds=perf["snapshot_builds"],
-        snapshot_reuses=perf["snapshot_reuses"],
-        snapshot_bytes_total=perf["snapshot_bytes_total"],
-    )
-    if sharded:
-        overhead.update(
-            shard_fanout_epochs=perf["shard_fanout_epochs"],
-            shard_skips=perf["shard_skips"],
-        )
-        if perf["shard_fanout_epochs"] < 1:
-            raise AssertionError(
-                "engine_parallel: sharded run never took the fan-out path"
-            )
-    parallel_source.close()
-    serial_source.close()
-    label = "engine_parallel" + ("/sharded" if sharded else "")
-    print(
-        f"{label:<18} {len(documents):>4} docs   "
-        f"serial {serial_time * 1000:8.1f} ms   "
-        f"workers={workers} {parallel_time * 1000:8.1f} ms   "
-        f"speedup {speedup:5.2f}x  (cpus {cpu_count})"
-    )
-    print(
-        f"{'':<18} overhead: snapshot {overhead['snapshot_bytes']} B "
-        f"({overhead['snapshot_serialize_seconds'] * 1000:.2f} ms), "
-        f"payload {overhead['payload_bytes_per_doc']:.0f} B/doc, "
-        f"{overhead['pool_spinups']} spin-ups, "
-        f"{overhead['snapshot_builds']} snapshot builds "
-        f"({overhead['snapshot_reuses']} reused)"
-    )
-    return {
-        "documents": len(documents),
-        "workers": workers,
-        "cpu_count": cpu_count,
-        # a speedup measured without at least two real cores says
-        # nothing about the driver (the seed's 0.45x was a 1-core box)
-        "unreliable": cpu_count < 2,
-        "sharded": sharded,
-        "evolutions": serial_source.evolution_count,
-        "serial_seconds": serial_time,
-        "parallel_seconds": parallel_time,
-        "speedup": speedup,
-        "overhead": overhead,
-    }
-
-
-def _gate_parallel(entry):
-    """The CI bench gate verdict for an ``engine_parallel`` entry.
-
-    Fails only where the claim is testable: a runner with at least four
-    real cores and a batch of at least :data:`GATE_MIN_DOCS` documents
-    must see workers=4 beat serial outright.
-    """
-    cpu_count = entry["cpu_count"]
-    if cpu_count < 4:
-        return {"status": "skipped", "reason": f"cpu_count {cpu_count} < 4"}
-    if entry["documents"] < GATE_MIN_DOCS:
-        return {
-            "status": "skipped",
-            "reason": f"{entry['documents']} docs < {GATE_MIN_DOCS}",
-        }
-    status = "passed" if entry["speedup"] > 1.0 else "failed"
-    return {
-        "status": status,
-        "reason": f"speedup {entry['speedup']:.2f}x vs serial "
-        f"at {entry['documents']} docs on {cpu_count} cpus",
-    }
+    return view, elapsed
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +314,7 @@ def _tracing_overhead_compare(dtds, documents, emit_metrics):
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import Tracer
 
-    plain_view, plain_time, _ = _engine_run(dtds, documents, 0)
+    plain_view, plain_time = _engine_run(dtds, documents)
     tracer = Tracer()
 
     def traced_run():
@@ -739,8 +602,6 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     smoke = "--smoke" in argv
     emit_metrics = "--emit-metrics" in argv
-    gate_parallel = "--gate-parallel" in argv
-    sharded = "--sharded" in argv
     per_scenario, distinct, repeats = (2, 3, 3) if smoke else (10, 8, 25)
     dtds, makers = _five_dtds()
     workloads = {
@@ -758,34 +619,10 @@ def main(argv=None):
     }
     for name, documents in sorted(workloads.items()):
         results["workloads"][name] = _compare(name, dtds, documents)
-    # 8x per scenario -> 120 / 1000; --gate-parallel forces gate scale
-    # even under --smoke so the CI gate always judges a real batch
-    engine_per_scenario = 125 if (gate_parallel or not smoke) else 15
-    engine_corpus = _engine_corpus(makers, engine_per_scenario)
-    engine_dtds = dtds
-    if sharded:
-        # interleave routable structure-only families so the sharded
-        # engine fans out instead of falling back on every epoch
-        import random
-
-        shard_dtds, shard_docs = _shard_corpus(per_dtd=engine_per_scenario)
-        engine_dtds = dtds + shard_dtds
-        engine_corpus = engine_corpus + shard_docs
-        random.Random(19).shuffle(engine_corpus)
-    results["engine_parallel"] = _engine_compare(
-        engine_dtds, engine_corpus, workers=4, sharded=sharded
-    )
-    if gate_parallel:
-        verdict = _gate_parallel(results["engine_parallel"])
-        results["engine_parallel"]["gate"] = verdict
-        print(f"{'gate_parallel':<18} {verdict['status']}: {verdict['reason']}")
-    tracing_corpus = (
-        engine_corpus
-        if not (smoke and gate_parallel) and not sharded
-        else _engine_corpus(makers, 15 if smoke else engine_per_scenario)
-    )
+    # 8x per scenario -> 120 / 1000 documents
+    engine_corpus = _engine_corpus(makers, 15 if smoke else 125)
     results["tracing_overhead"] = _tracing_overhead_compare(
-        dtds, tracing_corpus, emit_metrics
+        dtds, engine_corpus, emit_metrics
     )
     evolve_docs, evolve_repeats = (16, 5) if smoke else (120, 10)
     results["evolution_incremental"] = _evolution_incremental_compare(
@@ -804,10 +641,6 @@ def main(argv=None):
         json.dump(results, handle, indent=2)
         handle.write("\n")
     print(f"wrote {path}")
-    gate = results["engine_parallel"].get("gate")
-    if gate is not None and gate["status"] == "failed":
-        # the JSON is already on disk for the CI artifact; now fail
-        raise SystemExit(f"gate_parallel failed: {gate['reason']}")
     return results
 
 

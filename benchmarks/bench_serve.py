@@ -19,9 +19,8 @@ A ``bulk_deposit`` section then replays the workload through one
 client twice — single ``{"xml": ...}`` posts vs ``{"documents":
 [...]}`` batches — and records both ingestion rates.
 
-``--gate-serve`` turns the run into the CI latency-regression gate
-(the serve-mode analogue of ``bench_micro.py --gate-parallel``): the
-measured per-endpoint p50/p99 are compared against the committed
+``--gate-serve`` turns the run into the CI latency-regression gate:
+the measured per-endpoint p50/p99 are compared against the committed
 ``benchmarks/BENCH_serve_baseline.json`` — each bound is ``baseline
 percentile x tolerance``, floored per-endpoint so machine jitter on a
 sub-millisecond path can't fail the gate — the verdict is embedded in

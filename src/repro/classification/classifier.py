@@ -155,8 +155,6 @@ class ClassificationResult:
         "similarity",
         "evaluation",
         "_ranking",
-        "evaluated",
-        "pruned",
     )
 
     def __init__(
@@ -166,8 +164,6 @@ class ClassificationResult:
         similarity: float,
         evaluation: Optional[DocumentEvaluation],
         ranking: Union[Ranking, Callable[[], Ranking]],
-        evaluated: Optional[Ranking] = None,
-        pruned: Tuple[str, ...] = (),
     ):
         self.document = document
         #: the selected DTD, or ``None`` when below threshold (repository)
@@ -177,16 +173,6 @@ class ClassificationResult:
         #: full evaluation against the best DTD (None when no DTD exists)
         self.evaluation = evaluation
         self._ranking = ranking
-        #: the ``(name, similarity)`` pairs actually scored (best first);
-        #: equals the full ranking unless tier-3 pruning skipped DTDs
-        self.evaluated = (
-            evaluated if evaluated is not None
-            else (ranking if not callable(ranking) else [])
-        )
-        #: DTD names whose exact score was pruned (realized lazily via
-        #: :attr:`ranking`); picklable parallel workers ship these two
-        #: fields instead of forcing the lazy realization
-        self.pruned = pruned
 
     @property
     def ranking(self) -> Ranking:
@@ -435,7 +421,7 @@ class Classifier:
             # re-running the DP-backed evaluation below)
             if self._validators[best_name].is_valid(document):
                 short_circuited.add(best_name)
-        return self._finish(document, evaluated, evaluated, (), short_circuited)
+        return self._finish(document, evaluated, evaluated, short_circuited)
 
     def _classify_pruned(
         self,
@@ -484,29 +470,26 @@ class Classifier:
             )
         else:
             ranking = evaluated
-        return self._finish(document, evaluated, ranking, pruned, short_circuited)
+        return self._finish(document, evaluated, ranking, short_circuited)
 
     def _finish(
         self,
         document: Document,
         evaluated: Ranking,
         ranking: Union[Ranking, Callable[[], Ranking]],
-        pruned: Tuple[str, ...],
         short_circuited: Set[str],
     ) -> ClassificationResult:
         """Apply the threshold and build the result."""
         best_name, best_similarity = evaluated[0]
         if best_similarity < self.threshold:
             return ClassificationResult(
-                document, None, best_similarity, None, ranking,
-                evaluated=evaluated, pruned=pruned,
+                document, None, best_similarity, None, ranking
             )
         evaluation = self._best_evaluation(
             document, best_name, best_name in short_circuited
         )
         return ClassificationResult(
-            document, best_name, best_similarity, evaluation, ranking,
-            evaluated=evaluated, pruned=pruned,
+            document, best_name, best_similarity, evaluation, ranking
         )
 
     def deferred_ranking(
@@ -518,8 +501,7 @@ class Classifier:
         names tier-3 skipped.  The matchers and validators are captured
         *now* (an evolved DTD swapped in later must not leak into the
         realization), so the callable stays exact for the DTD set at
-        classification time.  The parallel merge path rebuilds worker
-        results through this, preserving the serial path's laziness.
+        classification time.
         """
         snapshot = [
             (name, self._matchers[name], self._validators[name])

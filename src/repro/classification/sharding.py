@@ -35,7 +35,7 @@ from repro.similarity.tags import TagMatcher
 from repro.similarity.triple import SimilarityConfig
 from repro.xmltree.document import Document
 
-#: a shard map as it travels on snapshots: member names per shard
+#: a shard map as snapshots and saved state carry it: member names per shard
 ShardMap = Tuple[Tuple[str, ...], ...]
 
 
@@ -75,9 +75,10 @@ class ShardedClassifier(Classifier):
 
     Shards are recomputed lazily after any :meth:`add_dtd` /
     :meth:`replace_dtd` via deterministic union-find over vocabulary
-    intersection, so an explicit ``shard_map`` (shipped on parallel
-    snapshots) is only adopted when it covers exactly the current DTD
-    names — otherwise it is recomputed, yielding the identical map.
+    intersection, so an explicit ``shard_map`` (carried on serve
+    snapshots and persisted state) is only adopted when it covers
+    exactly the current DTD names — otherwise it is recomputed,
+    yielding the identical map.
     """
 
     def __init__(
@@ -150,47 +151,6 @@ class ShardedClassifier(Classifier):
         return tuple(
             _ShardData(tuple(members), self._bounds) for members in ordered
         )
-
-    # ------------------------------------------------------------------
-
-    def fanout_eligible(self) -> bool:
-        """True when shard fan-out can be bit-identical to serial.
-
-        The same preconditions that let :meth:`_classify_document` use
-        the shard screen at all: more than one shard, pruned ranking
-        on, and exact semantics.  (The remaining fallback conditions
-        are per-document — see :meth:`fanout_route`.)
-        """
-        return len(self._shard_data()) > 1 and bool(
-            self.fastpath.pruned_ranking and self._exact_semantics()
-        )
-
-    def fanout_route(self, document: Document) -> Optional[int]:
-        """The single shard that can classify ``document`` remotely.
-
-        Returns the shard index when *exactly one* shard overlaps the
-        document and the DP depth guard holds — then a worker holding
-        only that shard's DTDs evaluates the same candidate set, in the
-        same order, as the serial sharded path.  Returns ``None`` for
-        every document that must stay on the serial path: zero overlaps
-        (the serial path screens nothing or everything and falls back),
-        two or more overlaps (the candidate set spans shards), or a
-        document at the depth guard (no sound screen).  A worker result
-        with similarity 0.0 is likewise discarded by the merge, because
-        serial breaks that tie across the full DTD set.
-        """
-        if not self.fanout_eligible():
-            return None
-        census = profile_document(document)
-        if census.height >= self.config.max_depth:
-            return None
-        route: Optional[int] = None
-        for index, shard in enumerate(self._shard_data()):
-            if shard.overlaps(census):
-                if route is not None:
-                    return None
-                route = index
-        return route
 
     # ------------------------------------------------------------------
 

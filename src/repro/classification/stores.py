@@ -705,10 +705,9 @@ class SqliteStore:
         self._removal_ops = 0
         self._counters = None
         # check_same_thread=False: the store is handed between threads
-        # whose access is already externally serialized (parallel-batch
-        # drains, serve mode's single-writer executor) — never used from
-        # two threads at once, so sqlite's per-thread pinning would only
-        # forbid safe usage
+        # whose access is already externally serialized (serve mode's
+        # single-writer executor) — never used from two threads at once,
+        # so sqlite's per-thread pinning would only forbid safe usage
         self._connection = sqlite3.connect(path, check_same_thread=False)
         self._connection.execute("PRAGMA foreign_keys = ON")
         # committed transactions survive a *process* crash either way;

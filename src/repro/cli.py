@@ -14,8 +14,7 @@ Subcommands::
 
     dtdevolve run --state state.json [--dtd schema.dtd] [--triggers rules.txt]
                   [--store {memory,jsonl,sqlite}] [--sharded]
-                  [--checkpoint-every N]
-                  [--workers N] [--no-fastpath] [--report-perf]
+                  [--checkpoint-every N] [--no-fastpath] [--report-perf]
                   [--trace out.json] [--trace-jsonl out.jsonl]
                   [--metrics out.prom] docs...
         Drive the full pipeline statefully: load (or initialise) a
@@ -23,9 +22,8 @@ Subcommands::
         and auto-evolving — and write the snapshot back.  Prints the
         outcome per document and any evolutions.  ``--store`` picks the
         repository backend, ``--checkpoint-every`` snapshots mid-run,
-        ``--workers`` classifies the batch across worker processes
-        (identical results, see ``repro.parallel``), ``--no-fastpath``
-        forces the reference classification and evolution paths, and
+        ``--no-fastpath`` forces the reference classification and
+        evolution paths, and
         ``--report-perf`` prints the fast-path hit counters, the
         evolution/drain phase timers (the ``*_ns`` entries, wall-clock
         nanoseconds) and derived hit rates, grouped and sorted.
@@ -53,8 +51,8 @@ Subcommands::
 
     dtdevolve report trace.json [--top N] [--metrics]
         Render the latency tables of a trace dump (either export
-        format): per-stage percentiles, the slowest documents, the
-        evolution phase breakdown, the worker summary.
+        format): per-stage percentiles, the slowest documents and the
+        evolution phase breakdown.
 
     dtdevolve adapt --dtd schema.dtd docs...
         Adapt each document to the DTD (Section 6); writes the adapted
@@ -176,27 +174,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.logging import configure_json_logging
 
         configure_json_logging()
-    from repro.obs.live import attach_degradation_monitor
-
-    detach_degradation = attach_degradation_monitor(source.events)
     tracer = None
     if args.trace or args.trace_jsonl or args.metrics:
         from repro.obs.tracing import Tracer
 
         tracer = Tracer()
-    try:
-        outcomes = source.process_many(
-            [parse_document(_read(path)) for path in args.documents],
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.state,
-            workers=args.workers,
-            trace=tracer,
-        )
-    finally:
-        # shut the persistent worker pool (and any published snapshot)
-        # down even when the batch dies mid-run
-        detach_degradation()
-        source.close()
+    outcomes = source.process_many(
+        [parse_document(_read(path)) for path in args.documents],
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=args.state,
+        trace=tracer,
+    )
     for path, outcome in zip(args.documents, outcomes):
         target = outcome.dtd_name or "<repository>"
         line = f"{path}: {target} (similarity {outcome.similarity:.3f})"
@@ -292,9 +280,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # and surfaced store warnings on its logger — give it a stderr
     # handler unless the embedding application configured one already
     if args.log_json:
-        # one JSON formatter on the root "repro" logger: serve,
-        # parallel-degradation warnings, and obs all correlate by
-        # request_id through the same handler
+        # one JSON formatter on the root "repro" logger: serve and obs
+        # correlate by request_id through the same handler
         from repro.obs.logging import configure_json_logging
 
         configure_json_logging()
@@ -327,10 +314,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"checkpointing to {args.state})",
         file=sys.stderr,
     )
-    try:
-        service = serve_forever(source, config, duration=args.duration)
-    finally:
-        source.close()
+    service = serve_forever(source, config, duration=args.duration)
     for caught in service.store_warnings:
         print(f"store warning: {caught.message}", file=sys.stderr)
     save_source(source, args.state)
@@ -438,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="checkpoint_every",
         metavar="N",
         help="snapshot the state file after every N documents (0 = only at the end)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="classify the batch across N worker processes "
-        "(0/1 = serial; results are identical either way)",
     )
     run.add_argument(
         "--no-fastpath",

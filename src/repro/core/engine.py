@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.classification.classifier import ClassificationResult, Classifier
 from repro.classification.repository import Repository
 from repro.classification.sharding import ShardedClassifier
+from repro.classification.snapshot import ClassifierSnapshot, snapshot_fingerprint
 from repro.classification.stores import DocumentStore, make_store
 from repro.core.evolution import EvolutionConfig
 from repro.core.extended_dtd import ExtendedDTD
@@ -113,18 +114,9 @@ class XMLSource:
         #: repository mining) — the classification state's cheap version
         #: stamp, keying the pickled-snapshot cache below
         self._state_version = 0
-        #: ``(cache key, fingerprint, pickled snapshot)`` of the last
-        #: snapshot built, so unchanged epochs skip re-pickling entirely
-        self._snapshot_cache: Optional[Tuple[tuple, str, bytes]] = None
-        #: ``(cache key, shard map, [(fingerprint, payload), ...])`` of
-        #: the last per-shard snapshot set (shard fan-out epochs)
-        self._shard_snapshot_cache: Optional[Tuple[tuple, tuple, list]] = None
-        #: persistent worker pools keyed by worker count (see
-        #: :meth:`worker_pool`); live until :meth:`close`
-        self._worker_pools: Dict[int, "WorkerPool"] = {}
-        #: shared-memory snapshot publisher, created on first parallel
-        #: batch (see :meth:`snapshot_wire`)
-        self._snapshot_publisher = None
+        #: ``(state version, fingerprint, pickled snapshot)`` of the last
+        #: snapshot built, so an unchanged state skips re-pickling entirely
+        self._snapshot_cache: Optional[Tuple[int, str, bytes]] = None
         for name in self.classifier.dtd_names():
             self._install(self.classifier.dtd(name))
         #: unclassified documents, backed by the configured store
@@ -217,9 +209,11 @@ class XMLSource:
         """Run one document through the full Figure-1 loop.
 
         ``classification`` injects a precomputed result for this
-        document against the *current* DTD set (the parallel merge path
-        uses this); the classify stage then skips the classifier call
-        but deposits, records, checks and evolves exactly as usual.
+        document against the *current* DTD set — ``process(d,
+        classify(d))`` is ``process(d)`` with the classify call made by
+        the caller, so it can be timed on its own; the classify stage
+        then skips the classifier call but deposits, records, checks
+        and evolves exactly as usual.
         """
         self.documents_processed += 1
         return self.pipeline.run(document, classification).outcome()
@@ -231,24 +225,8 @@ class XMLSource:
         self.perf.set_span_sink(self.tracer)
 
     # ------------------------------------------------------------------
-    # Parallel resources (persistent pools, shared snapshots)
+    # The classification snapshot (serve readers classify against it)
     # ------------------------------------------------------------------
-
-    def worker_pool(self, workers: int) -> "WorkerPool":
-        """The engine's persistent pool for ``workers`` processes.
-
-        Created lazily on first request and reused by every subsequent
-        parallel ``process_many`` call with the same worker count, so
-        pool spin-up (and the workers' warm snapshot caches) amortise
-        across batches.  Lives until :meth:`close`.
-        """
-        from repro.parallel.pool import WorkerPool
-
-        pool = self._worker_pools.get(workers)
-        if pool is None:
-            pool = WorkerPool(workers, counters=self.perf)
-            self._worker_pools[workers] = pool
-        return pool
 
     @property
     def state_version(self) -> int:
@@ -256,31 +234,23 @@ class XMLSource:
         bumped on every DTD install (initial set, evolutions,
         repository mining).  Deposits and drains do not bump it — only
         changes that could alter a classification decision do, which is
-        exactly what snapshot consumers (parallel epochs, the serve
-        layer's MVCC holder) key on."""
+        exactly what the serve layer's MVCC holder keys on."""
         return self._state_version
 
     def snapshot_payload(self) -> Tuple[str, bytes]:
         """The current classification state, pickled and content-addressed.
 
         Returns ``(fingerprint, payload)`` where ``payload`` is the
-        pickled :class:`~repro.parallel.snapshot.ClassifierSnapshot` and
-        ``fingerprint`` its blake2b content address.  The bytes are
-        cached against a cheap state version (bumped on every DTD
-        install: initial set, evolutions, repository mining) plus the
-        tracing flag, so a caller whose DTD set didn't change reuses the
-        cached bytes without re-pickling (``snapshot_reuses``) — across
-        parallel epochs, ``process_many`` calls, and serve-layer
-        snapshot refreshes alike.
+        pickled :class:`~repro.classification.snapshot.ClassifierSnapshot`
+        and ``fingerprint`` its blake2b content address.  The bytes are
+        cached against :attr:`state_version` alone, so a caller whose
+        DTD set didn't change reuses the cached bytes without
+        re-pickling (``snapshot_reuses``) — installing or removing a
+        tracer changes nothing a classification depends on, and so
+        neither the bytes nor the fingerprint.
         """
-        from repro.parallel.snapshot import (
-            ClassifierSnapshot,
-            snapshot_fingerprint,
-        )
-
-        key = (self._state_version, self.tracer.enabled)
         cached = self._snapshot_cache
-        if cached is not None and cached[0] == key:
+        if cached is not None and cached[0] == self._state_version:
             self.perf.snapshot_reuses += 1
             _, fingerprint, payload = cached
         else:
@@ -292,114 +262,16 @@ class XMLSource:
             fingerprint = snapshot_fingerprint(payload)
             self.perf.snapshot_builds += 1
             self.perf.snapshot_bytes_total += len(payload)
-            self._snapshot_cache = (key, fingerprint, payload)
+            self._snapshot_cache = (self._state_version, fingerprint, payload)
         return fingerprint, payload
 
-    def snapshot_wire(self) -> "SnapshotRef":
-        """Publish the current classification state for workers.
-
-        The pickled snapshot comes from :meth:`snapshot_payload` (one
-        pickle per changed epoch); the bytes are published once per
-        content fingerprint via shared memory (inline pickle fallback),
-        so chunks ship only a small ref.
-        """
-        fingerprint, payload = self.snapshot_payload()
-        publisher = self._publisher()
-        ref = publisher.publish(fingerprint, payload)
-        publisher.retain({fingerprint})
-        return ref
-
-    def _publisher(self) -> "SnapshotPublisher":
-        from repro.parallel.snapshot import SnapshotPublisher
-
-        if self._snapshot_publisher is None:
-            self._snapshot_publisher = SnapshotPublisher()
-        return self._snapshot_publisher
-
-    def shard_snapshot_payloads(self):
-        """Per-shard classification snapshots for fan-out epochs.
-
-        Returns ``(shard map, [(fingerprint, payload), ...])`` — one
-        pickled :class:`~repro.parallel.snapshot.ClassifierSnapshot`
-        per DTD shard, each holding only that shard's DTD subset (and
-        no shard map of its own: a worker classifies its subset as a
-        plain classifier) — or ``None`` when the engine is not sharded
-        or fan-out cannot be bit-identical (see
-        :meth:`~repro.classification.sharding.ShardedClassifier.fanout_eligible`).
-        Cached against the same state version key as
-        :meth:`snapshot_payload`.
-        """
-        from repro.parallel.snapshot import (
-            ClassifierSnapshot,
-            snapshot_fingerprint,
-        )
-
-        classifier = self.classifier
-        if not isinstance(classifier, ShardedClassifier):
-            return None
-        if not classifier.fanout_eligible():
-            return None
-        key = (self._state_version, self.tracer.enabled)
-        cached = self._shard_snapshot_cache
-        if cached is not None and cached[0] == key:
-            self.perf.snapshot_reuses += 1
-            return cached[1], cached[2]
-        shard_map = classifier.shard_map()
-        entries = []
-        for shard_names in shard_map:
-            start = time.perf_counter_ns()
-            payload = pickle.dumps(
-                ClassifierSnapshot(
-                    (classifier.dtd(name) for name in shard_names),
-                    classifier.threshold,
-                    self.similarity_config,
-                    self.fastpath,
-                    traced=self.tracer.enabled,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self.perf.snapshot_serialize_ns += time.perf_counter_ns() - start
-            self.perf.snapshot_builds += 1
-            self.perf.snapshot_bytes_total += len(payload)
-            entries.append((snapshot_fingerprint(payload), payload))
-        self._shard_snapshot_cache = (key, shard_map, entries)
-        return shard_map, entries
-
-    def shard_snapshot_wire(self):
-        """Publish the per-shard snapshots for workers.
-
-        Returns ``(shard map, [SnapshotRef, ...])`` aligned by shard
-        index, or ``None`` when fan-out is unavailable (the driver then
-        runs the ordinary full-snapshot epoch).  Publication goes
-        through the same :class:`SnapshotPublisher` as
-        :meth:`snapshot_wire`; stale fingerprints from earlier epochs
-        are released once the new set is live.
-        """
-        shards = self.shard_snapshot_payloads()
-        if shards is None:
-            return None
-        shard_map, entries = shards
-        publisher = self._publisher()
-        refs = [publisher.publish(fp, payload) for fp, payload in entries]
-        publisher.retain({fp for fp, _ in entries})
-        return shard_map, refs
-
     def close(self) -> None:
-        """Release the engine's parallel resources: shut down every
-        persistent worker pool and unlink the published shared-memory
-        snapshot.  Idempotent, and not terminal — the engine stays
-        usable; pools and snapshots respin lazily on the next parallel
-        batch.  The document store is deliberately *not* closed (a
-        ``jsonl`` store deletes its spill file on close; that decision
-        belongs to whoever configured the store).  An ``atexit`` sweep
-        closes anything still live at interpreter shutdown, so a
-        forgotten ``close()`` never strands worker processes or shared
-        memory (see :mod:`repro.parallel.pool`).
-        """
-        for pool in self._worker_pools.values():
-            pool.close()
-        if self._snapshot_publisher is not None:
-            self._snapshot_publisher.close()
+        """A no-op, so callers may release an engine uniformly (``with
+        XMLSource(...) as source:`` or an explicit call): the engine
+        holds no process or OS resource of its own.  The
+        document store is deliberately *not* closed — a ``jsonl`` store
+        deletes its spill file on close, and that decision belongs to
+        whoever configured the store."""
 
     def __enter__(self) -> "XMLSource":
         return self
@@ -412,9 +284,6 @@ class XMLSource:
         documents: Iterable[Document],
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str] = None,
-        workers: int = 0,
-        chunk_size: int = 0,
-        overlap: bool = True,
         trace: Optional[Tracer] = None,
     ) -> List[ProcessOutcome]:
         """Process a batch, in order.
@@ -423,19 +292,9 @@ class XMLSource:
         are computed once per subtree and the matchers' fingerprint-
         keyed caches persist across the whole batch (and across any
         repository drains evolution triggers mid-batch), so repeated
-        structures in a stream cost one DP run total.
-
-        With ``workers`` of 2 or more, classification fans out across
-        the engine's persistent worker pool in classify-parallel /
-        evolve-serial epochs (see :mod:`repro.parallel`); results —
-        outcomes, repository, events, evolution log — are bit-identical
-        to the serial path, which ``workers`` of 0 or 1 selects exactly.
-        ``chunk_size`` forces a shard size (0 = automatic); ``overlap``
-        (default on) windows chunk submission so workers classify ahead
-        while the parent merges — ``overlap=False`` submits each
-        epoch's shards up front instead.  The pool persists across
-        calls; release it with :meth:`close` (or use the engine as a
-        context manager).
+        structures in a stream cost one DP run total.  Deposits share
+        one store bulk window (one flush/transaction on capable
+        stores).
 
         With ``checkpoint_every`` set (and a ``checkpoint_path``), the
         source snapshots itself to that path after every
@@ -447,48 +306,30 @@ class XMLSource:
         duration of this batch (restoring the previous tracer after).
         When tracing is on — via ``trace`` or a tracer installed at
         construction — the whole batch is wrapped in one ``batch`` root
-        span, so serial and parallel runs alike export a single rooted
-        span tree.  Tracing never changes engine outputs.
+        span, so the run exports a single rooted span tree.  Tracing
+        never changes engine outputs.
         """
         if trace is not None:
             previous = self.tracer
             self.set_tracer(trace)
             try:
                 return self.process_many(
-                    documents, checkpoint_every, checkpoint_path,
-                    workers, chunk_size, overlap,
+                    documents, checkpoint_every, checkpoint_path
                 )
             finally:
                 self.set_tracer(previous)
         if not self.tracer.enabled:
-            return self._run_batch(
-                documents, checkpoint_every, checkpoint_path,
-                workers, chunk_size, overlap,
-            )
+            return self._run_batch(documents, checkpoint_every, checkpoint_path)
         documents = list(documents)
-        with self.tracer.span(
-            "batch", documents=len(documents), workers=workers
-        ):
-            return self._run_batch(
-                documents, checkpoint_every, checkpoint_path,
-                workers, chunk_size, overlap,
-            )
+        with self.tracer.span("batch", documents=len(documents)):
+            return self._run_batch(documents, checkpoint_every, checkpoint_path)
 
     def _run_batch(
         self,
         documents: Iterable[Document],
         checkpoint_every: int,
         checkpoint_path: Optional[str],
-        workers: int,
-        chunk_size: int,
-        overlap: bool = True,
     ) -> List[ProcessOutcome]:
-        if workers and workers > 1:
-            from repro.parallel.driver import ParallelDriver
-
-            return ParallelDriver(
-                self, workers, chunk_size=chunk_size, overlap=overlap
-            ).process(list(documents), checkpoint_every, checkpoint_path)
         outcomes: List[ProcessOutcome] = []
         # one batched-ingestion window for the whole batch: deposits
         # share a flush/transaction on capable stores (drains mid-batch

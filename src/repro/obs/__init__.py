@@ -4,10 +4,9 @@ The layer every serving stack carries, for the Figure-1 engine:
 
 - :mod:`repro.obs.tracing` — a :class:`Tracer` of nested monotonic
   :class:`Span`\\ s with a per-run ``trace_id``; the engine emits spans
-  for batches, documents, pipeline stages, evolution phases, parallel
-  epochs and worker classifications.  The default
-  :data:`NULL_TRACER` is a shared no-op: tracing costs one flag check
-  until enabled.
+  for batches, documents, pipeline stages and evolution phases.  The
+  default :data:`NULL_TRACER` is a shared no-op: tracing costs one flag
+  check until enabled.
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket histograms with p50/p90/p99 summaries and
   Prometheus text exposition; it mirrors (never replaces)
@@ -42,7 +41,6 @@ from repro.obs.live import (
     RotatingJsonlSink,
     Sampler,
     SpanRing,
-    attach_degradation_monitor,
     build_request_spans,
 )
 from repro.obs.logging import (
@@ -91,7 +89,6 @@ __all__ = [
     "SpanRing",
     "RotatingJsonlSink",
     "DriftMonitor",
-    "attach_degradation_monitor",
     "build_request_spans",
     "JsonFormatter",
     "CorrelationFilter",

@@ -6,8 +6,6 @@ Two formats, one span model:
   with a ``traceEvents`` array of complete (``"ph": "X"``) events —
   microsecond timestamps/durations, span attributes under ``args`` —
   directly loadable in ``about:tracing`` or https://ui.perfetto.dev.
-  Spans carrying a ``worker`` attribute land on that worker's ``tid``
-  row so a parallel run reads as one lane per process.
 - **JSONL** (:func:`write_jsonl`): a compact stream — one header line
   (``{"trace_id": …, "spans": N}``) followed by one span object per
   line — cheap to append, grep, and stream-parse.
@@ -56,10 +54,9 @@ def chrome_trace(
 ) -> Dict[str, Any]:
     """Chrome trace-event JSON as a plain dict.
 
-    Each span becomes a complete (``"X"``) event; timestamps are
-    rebased so the trace starts at zero microseconds.  Spans with a
-    ``worker`` attribute get that value as their ``tid`` (one timeline
-    row per worker process); everything else rides tid 0.
+    Each span becomes a complete (``"X"``) event on one timeline row
+    (tid 0); timestamps are rebased so the trace starts at zero
+    microseconds.
     """
     records = [span_dict(span) for span in spans]
     pid = pid if pid is not None else os.getpid()
@@ -74,8 +71,6 @@ def chrome_trace(
         }
     ]
     for record in records:
-        attrs = record["attrs"]
-        tid = attrs.get("worker", 0)
         events.append(
             {
                 "name": record["name"],
@@ -84,13 +79,13 @@ def chrome_trace(
                 "ts": (record["start_ns"] - base_ns) / 1000.0,
                 "dur": (record["end_ns"] - record["start_ns"]) / 1000.0,
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "args": {
                     "span_id": record["span_id"],
                     "parent_id": record["parent_id"],
                     "start_ns": record["start_ns"],
                     "end_ns": record["end_ns"],
-                    **attrs,
+                    **record["attrs"],
                 },
             }
         )

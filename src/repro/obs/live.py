@@ -20,11 +20,7 @@ all-or-nothing and metrics are a post-hoc export.  This module is the
   fed from the existing :class:`~repro.pipeline.events.EventBus`
   events: per-DTD classification/acceptance rates, repository misfit
   count and sigma-window position, documents-since-evolution, per-shard
-  document counts — plus the ``repro_degraded_ops_total`` counter and
-  WARN-level structured log lines for
-  :class:`~repro.parallel.events.ShardRetried` /
-  :class:`~repro.parallel.events.ParallelFallback`, so a silent
-  fallback-to-serial is visible in production.
+  document counts.
 
 Nothing here sits on an engine decision path: samplers observe request
 envelopes, the drift monitor observes bus events, and span collection
@@ -34,7 +30,6 @@ path uses (DESIGN.md decision 15).
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from collections import deque
@@ -61,7 +56,6 @@ __all__ = [
     "SpanRing",
     "RotatingJsonlSink",
     "DriftMonitor",
-    "attach_degradation_monitor",
     "build_request_spans",
 ]
 
@@ -385,86 +379,6 @@ class RotatingJsonlSink:
 
 
 # ----------------------------------------------------------------------
-# Degradation visibility
-# ----------------------------------------------------------------------
-
-_degradation_logger = logging.getLogger("repro.parallel")
-
-
-def attach_degradation_monitor(
-    bus: "EventBus",
-    registry: Optional[MetricsRegistry] = None,
-    logger: Optional[logging.Logger] = None,
-) -> Callable[[], None]:
-    """Surface :class:`ShardRetried` / :class:`ParallelFallback` as
-    WARN-level structured log lines and ``repro_degraded_ops_total``
-    counter increments.
-
-    Both events already ride the engine bus; without an observer a
-    production run silently degrades to serial.  Returns a detach
-    callable.  ``registry`` may be ``None`` (log lines only); with a
-    registry, both counter label values are pre-created at zero so a
-    scrape shows the family even before anything degrades.
-    """
-    from repro.parallel.events import ParallelFallback, ShardRetried
-
-    log = logger if logger is not None else _degradation_logger
-    counters = {}
-    if registry is not None:
-        for event_name in ("shard_retried", "parallel_fallback"):
-            counters[event_name] = registry.counter(
-                "repro_degraded_ops_total",
-                "parallel ops that degraded (shard retries, serial fallbacks)",
-                event=event_name,
-            )
-
-    def on_retry(event: ShardRetried) -> None:
-        if "shard_retried" in counters:
-            counters["shard_retried"].inc()
-        log.warning(
-            "shard %d retried (epoch %d, %d documents): %s",
-            event.shard_index,
-            event.epoch,
-            event.documents,
-            event.error,
-            extra={
-                "event": "shard_retried",
-                "epoch": event.epoch,
-                "shard": event.shard_index,
-                "documents": event.documents,
-            },
-        )
-
-    def on_fallback(event: ParallelFallback) -> None:
-        if "parallel_fallback" in counters:
-            counters["parallel_fallback"].inc()
-        log.warning(
-            "parallel classification fell back to serial for %s "
-            "(epoch %d, %d documents): %s",
-            "the whole batch" if event.shard_index < 0
-            else f"shard {event.shard_index}",
-            event.epoch,
-            event.documents,
-            event.reason,
-            extra={
-                "event": "parallel_fallback",
-                "epoch": event.epoch,
-                "shard": event.shard_index,
-                "documents": event.documents,
-            },
-        )
-
-    bus.subscribe(ShardRetried, on_retry)
-    bus.subscribe(ParallelFallback, on_fallback)
-
-    def detach() -> None:
-        bus.unsubscribe(ShardRetried, on_retry)
-        bus.unsubscribe(ParallelFallback, on_fallback)
-
-    return detach
-
-
-# ----------------------------------------------------------------------
 # Evolution-drift health
 # ----------------------------------------------------------------------
 
@@ -489,7 +403,6 @@ class DriftMonitor:
     def __init__(self, registry: MetricsRegistry, source: "XMLSource"):
         self.registry = registry
         self.source = source
-        self._detach_degradation: Optional[Callable[[], None]] = None
         self._handlers: List[Tuple[type, Callable]] = []
         #: documents processed at the moment of the last adopted
         #: evolution (drives documents-since-evolution)
@@ -589,9 +502,6 @@ class DriftMonitor:
         for event_type, handler in pairs:
             self.source.events.subscribe(event_type, handler)
             self._handlers.append((event_type, handler))
-        self._detach_degradation = attach_degradation_monitor(
-            self.source.events, self.registry
-        )
         self.refresh()
         return self
 
@@ -599,9 +509,6 @@ class DriftMonitor:
         for event_type, handler in self._handlers:
             self.source.events.unsubscribe(event_type, handler)
         self._handlers.clear()
-        if self._detach_degradation is not None:
-            self._detach_degradation()
-            self._detach_degradation = None
 
     # ------------------------------------------------------------------
     # Event handlers (writer-thread inline)
@@ -719,11 +626,6 @@ class DriftMonitor:
                 "activation_score": activation,
                 "evolutions": extended.evolution_count,
             }
-        degraded = sum(
-            instrument.value
-            for (name, _labels), instrument in self.registry._instruments.items()
-            if name == "repro_degraded_ops_total"
-        )
         deposit_digest = self._deposit_similarity.summary()
         summary = {
             "status": (
@@ -745,7 +647,6 @@ class DriftMonitor:
                 "last_dtd": self._last_evolved_dtd,
                 "docs_since_last": self.docs_since_evolution(),
             },
-            "degraded_ops": int(degraded),
         }
         shard_map = self._shard_map()
         if shard_map is not None:

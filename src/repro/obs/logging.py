@@ -130,7 +130,7 @@ def configure_json_logging(
     ``logging.getLogger(logger).removeHandler(handler)``.
 
     The default target is the root ``repro`` logger, so every subsystem
-    (``repro.serve``, ``repro.parallel``, ``repro.obs``) emits through
+    (``repro.serve``, ``repro.obs``) emits through
     one formatter; ``stream`` defaults to stderr.
     """
     handler = logging.StreamHandler(stream if stream is not None else sys.stderr)

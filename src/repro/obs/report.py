@@ -6,14 +6,12 @@ renders the run as fixed-width tables (the same
 
 - **per-stage latency** — count, total, p50/p90/p99/max per span name
   for the pipeline stages (``stage.*``), the per-document roots
-  (``doc``), batches and epochs;
+  (``doc``) and batches;
 - **slowest documents** — the ``doc`` spans ranked by duration, with
   their ``doc_id``/root-tag/DTD provenance attributes;
 - **evolution phase breakdown** — the ``phase.*`` spans (the same
   intervals the ``*_ns`` perf timers accumulate), with each phase's
-  share of the total evolution wall-clock;
-- **worker summary** — spliced ``worker.*`` spans grouped by worker id,
-  when the trace came from a parallel run.
+  share of the total evolution wall-clock.
 
 Percentiles here are exact (computed from the full duration lists, not
 histogram buckets — a trace dump carries every span).
@@ -72,7 +70,7 @@ def _latency_table(records: List[Dict[str, Any]]) -> Table:
     digests = stage_latencies(
         r
         for r in records
-        if r["name"] in ("batch", "epoch", "doc")
+        if r["name"] in ("batch", "doc")
         or r["name"].startswith("stage.")
     )
     for name, digest in digests.items():
@@ -137,53 +135,6 @@ def _phase_breakdown(records: List[Dict[str, Any]]) -> Table:
     return table
 
 
-def _worker_summary(records: List[Dict[str, Any]]) -> Table:
-    """Spliced ``worker.*`` spans grouped by worker process.
-
-    ``kB shipped`` sums the per-document ``wire_bytes`` shares the
-    driver stamps at splice time (each document's slice of its chunk's
-    measured result bytes); ``pool gen`` lists which pool generation(s)
-    the worker's spans rode — a generation above 1 means the persistent
-    pool was rebuilt after a broken executor.  Traces from before these
-    attrs existed render ``-``.
-    """
-    table = Table(
-        "Worker classification spans",
-        ["worker", "spans", "total", "p99", "kB shipped", "pool gen"],
-    )
-    by_worker: Dict[Any, List[int]] = {}
-    shipped: Dict[Any, int] = {}
-    generations: Dict[Any, set] = {}
-    for record in records:
-        if not record["name"].startswith("worker."):
-            continue
-        attrs = record["attrs"]
-        worker = attrs.get("worker", "?")
-        by_worker.setdefault(worker, []).append(
-            record["end_ns"] - record["start_ns"]
-        )
-        wire = attrs.get("wire_bytes")
-        if wire is not None and record["name"] == "worker.classify":
-            shipped[worker] = shipped.get(worker, 0) + wire
-        generation = attrs.get("pool_gen")
-        if generation is not None:
-            generations.setdefault(worker, set()).add(generation)
-    for worker, durations in sorted(by_worker.items(), key=lambda kv: str(kv[0])):
-        durations.sort()
-        gens = generations.get(worker)
-        table.add_row(
-            [
-                worker,
-                len(durations),
-                _ms(sum(durations)),
-                _ms(_percentile(durations, 0.99)),
-                f"{shipped[worker] / 1024:.1f}" if worker in shipped else "-",
-                ",".join(str(g) for g in sorted(gens)) if gens else "-",
-            ]
-        )
-    return table
-
-
 def render_report(
     records: Iterable[Dict[str, Any]], trace_id: str = "", top: int = 5
 ) -> str:
@@ -197,7 +148,4 @@ def render_report(
     phases = _phase_breakdown(records)
     if phases.rows:
         sections += ["", phases.render()]
-    workers = _worker_summary(records)
-    if workers.rows:
-        sections += ["", workers.render()]
     return "\n".join(sections)

@@ -15,14 +15,11 @@ The default tracer on every :class:`~repro.core.engine.XMLSource` is
 no-op — tracing costs one attribute read and one truth test per
 document until somebody installs a real tracer.
 
-Cross-process collection: parallel classification workers run a
-:class:`SpanCollector` (a tracer whose finished spans export as plain
-picklable tuples) and ship the records back batched per chunk on the
-``ChunkResult`` — traced epochs only, untraced chunks carry no span
-field at all; the parent's :meth:`Tracer.splice` grafts them
-under its open epoch span — remapping span ids, rebasing the foreign
-monotonic clock into the local timeline, and stamping worker/document
-attributes — so a ``workers=4`` run still yields one rooted tree.
+Collecting elsewhere, grafting later: a :class:`SpanCollector` is a
+tracer whose finished spans drain as plain tuples.  The serve layer
+installs one on the engine for each sampled write op and, once the op
+is applied, :meth:`Tracer.splice` grafts the drained records into the
+request's span tree — remapping span ids and stamping attributes.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ __all__ = [
     "NULL_TRACER",
 ]
 
-#: a picklable finished span: (span_id, parent_id, name, start_ns,
-#: end_ns, attributes)
+#: a finished span as a plain tuple: (span_id, parent_id, name,
+#: start_ns, end_ns, attributes)
 SpanRecord = Tuple[int, Optional[int], str, int, int, Dict[str, Any]]
 
 
@@ -80,7 +77,7 @@ class Span:
         return self.end_ns - self.start_ns
 
     def to_record(self) -> SpanRecord:
-        """Flatten to the picklable wire/JSONL tuple shape."""
+        """Flatten to the plain record tuple shape."""
         return (
             self.span_id,
             self.parent_id,
@@ -162,33 +159,27 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     # ------------------------------------------------------------------
-    # Cross-process splicing
+    # Splicing collected spans
     # ------------------------------------------------------------------
 
     def splice(
         self,
         records: Iterable[SpanRecord],
         parent_id: Optional[int] = None,
-        rebase_to: Optional[int] = None,
         **attrs: Any,
     ) -> int:
-        """Graft foreign span records into this trace.
+        """Graft span records collected by another tracer into this one.
 
         Span ids are remapped through this tracer's allocator (internal
         parent links are preserved); records whose parent is not in the
-        batch become children of ``parent_id``.  ``rebase_to`` shifts
-        the whole batch so its earliest start lands on that local
-        monotonic timestamp — worker clocks are not comparable to ours,
-        but durations are, so the grafted spans keep their shape inside
-        the local timeline.  ``attrs`` are stamped onto every grafted
-        span.  Returns how many spans were grafted.
+        batch become children of ``parent_id``.  Timestamps are kept
+        as-is: the records come from this process's monotonic clock.
+        ``attrs`` are stamped onto every grafted span.  Returns how
+        many spans were grafted.
         """
         batch = list(records)
         if not batch:
             return 0
-        shift = 0
-        if rebase_to is not None:
-            shift = rebase_to - min(record[3] for record in batch)
         remap: Dict[int, int] = {}
         for record in batch:
             remap[record[0]] = self._next_id
@@ -201,11 +192,11 @@ class Tracer:
                 remap[old_id],
                 remap.get(old_parent, parent_id) if old_parent is not None
                 else parent_id,
-                start_ns + shift,
+                start_ns,
                 merged,
                 self,
             )
-            span.end_ns = end_ns + shift
+            span.end_ns = end_ns
             self.spans.append(span)
         return len(batch)
 
@@ -237,11 +228,12 @@ class Tracer:
 
 
 class SpanCollector(Tracer):
-    """A worker-side tracer: same span machinery, plus a drain method
-    so each classified document ships exactly its own spans home."""
+    """A tracer whose spans are collected for grafting elsewhere: same
+    span machinery, plus a drain method so each collection window
+    hands over exactly its own spans."""
 
     def take_records(self) -> List[SpanRecord]:
-        """Drain the finished spans as picklable records."""
+        """Drain the finished spans as plain records."""
         records = self.records()
         self.spans.clear()
         return records

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, NamedTuple, Optional
+from typing import Dict, Iterator, Mapping, NamedTuple
 
 
 class FastPathConfig(NamedTuple):
@@ -81,7 +81,7 @@ class FastPathConfig(NamedTuple):
 
 #: wall-clock phase timers (integer nanoseconds); they live in the same
 #: snapshot/merge machinery as the counters, so event ``perf_delta``s
-#: and worker reports carry them with no extra plumbing.
+#: carry them with no extra plumbing.
 #: ``snapshot_serialize_ns`` is accumulated directly by the engine's
 #: snapshot cache (not via :meth:`PerfCounters.timer`), so it never
 #: mirrors a ``phase.*`` span.
@@ -95,8 +95,7 @@ TIMER_NAMES = (
     "snapshot_serialize_ns",
 )
 
-#: the counter fields, in snapshot order (``_sources`` bookkeeping for
-#: :meth:`PerfCounters.merge` is deliberately not a counter)
+#: the counter fields, in snapshot order
 COUNTER_NAMES = (
     "documents_classified",
     "validations",
@@ -115,9 +114,6 @@ COUNTER_NAMES = (
     "drain_index_hits",
     "index_rows",
     "shard_skips",
-    "shard_fanout_epochs",
-    "pool_spinups",
-    "pool_reuses",
     "snapshot_builds",
     "snapshot_reuses",
     "snapshot_bytes_total",
@@ -136,26 +132,21 @@ class PerfCounters:
     benchmarks and tests read the counters to assert the fast paths
     actually fire.
 
-    Counters from other processes (parallel classification workers)
-    fold in through :meth:`merge`, which is commutative and — when the
-    reporter passes a stable ``key`` — duplicate-safe: a worker that
-    re-reports its cumulative totals (every chunk result does, and a
-    retried shard may report twice) contributes only the increment
-    since its previous report.
+    Deltas produced elsewhere (the ``perf_delta`` an event carries)
+    fold in through :meth:`merge`, which is plain commutative addition.
 
     Timers (:data:`TIMER_NAMES`) accumulate monotonic wall-clock
     nanoseconds via the :meth:`timer` context manager.  They are plain
-    monotone integers, so snapshot/merge/keyed-diff semantics apply to
-    them unchanged; nested spans of the *same* timer count once (only
+    monotone integers, so snapshot and merge apply to them unchanged;
+    nested spans of the *same* timer count once (only
     the outermost span accumulates), while differently named spans may
     overlap freely (``evolve_ns`` wraps the per-phase timers, so it is
     always at least their sum for non-overlapping phases).
     """
 
-    __slots__ = COUNTER_NAMES + ("_sources", "_active_timers", "_span_sink")
+    __slots__ = COUNTER_NAMES + ("_active_timers", "_span_sink")
 
     def __init__(self) -> None:
-        self._sources: Dict[str, Dict[str, int]] = {}
         self._active_timers: Dict[str, int] = {}
         #: an enabled tracer, when the engine wants phase spans mirrored
         #: off the same timers (see :meth:`set_span_sink`)
@@ -202,18 +193,10 @@ class PerfCounters:
         #: DTD shards screened out before ranking (every member provably
         #: scores 0.0 against the document)
         self.shard_skips = 0
-        #: parallel epochs that fanned classification out per DTD shard
-        #: (workers rebuilt only their shard's DTD subset)
-        self.shard_fanout_epochs = 0
-        #: worker-pool executors created (a persistent pool spins up
-        #: once and is reused across batches; rebuilds after a broken
-        #: pool count again)
-        self.pool_spinups = 0
-        #: parallel batches that found a live executor already waiting
-        self.pool_reuses = 0
-        #: classifier snapshots actually pickled (one per changed epoch)
+        #: classifier snapshots actually pickled (one per changed
+        #: classification state)
         self.snapshot_builds = 0
-        #: epochs that reused the cached snapshot bytes unchanged
+        #: snapshot requests that reused the cached bytes unchanged
         self.snapshot_reuses = 0
         #: cumulative pickled-snapshot bytes across all builds
         self.snapshot_bytes_total = 0
@@ -227,7 +210,6 @@ class PerfCounters:
         self.compaction_bytes_reclaimed = 0
         for name in TIMER_NAMES:
             setattr(self, name, 0)
-        self._sources.clear()
         self._active_timers.clear()
 
     def set_span_sink(self, tracer) -> None:
@@ -275,37 +257,11 @@ class PerfCounters:
         """The timer fields alone (nanoseconds), for phase reporting."""
         return {name: getattr(self, name) for name in TIMER_NAMES}
 
-    def merge(
-        self, snapshot: Mapping[str, int], key: Optional[str] = None
-    ) -> Dict[str, int]:
-        """Fold an externally produced counter snapshot into this one.
-
-        Without ``key``, ``snapshot`` is a plain *delta* and is added
-        as-is (commutative: merging deltas in any order yields the same
-        totals).
-
-        With ``key``, ``snapshot`` is the reporter's *cumulative*
-        totals and the merge is duplicate-safe: only the increment over
-        that key's previously merged snapshot is added, so the same
-        report applied twice (a retried shard re-reporting, a worker
-        reporting after every chunk) never double-counts.  Reporters'
-        cumulative counters must be monotone, which per-process
-        counters — timers included — are by construction.
-
-        Returns the increments actually applied (sparse).
-        """
-        if key is None:
-            applied = {
-                name: value for name, value in snapshot.items() if value
-            }
-        else:
-            previous = self._sources.get(key, {})
-            applied = {}
-            for name, value in snapshot.items():
-                increment = value - previous.get(name, 0)
-                if increment:
-                    applied[name] = increment
-            self._sources[key] = dict(snapshot)
+    def merge(self, delta: Mapping[str, int]) -> Dict[str, int]:
+        """Add an externally produced counter delta into this one
+        (commutative: merging deltas in any order yields the same
+        totals).  Returns the increments actually applied (sparse)."""
+        applied = {name: value for name, value in delta.items() if value}
         for name, increment in applied.items():
             setattr(self, name, getattr(self, name) + increment)
         return applied

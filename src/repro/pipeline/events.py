@@ -211,10 +211,9 @@ def subscribe_counters(bus: EventBus, counters: PerfCounters) -> Handler:
     After any sequence of engine calls, the mirrored counters equal the
     directly wired ones (``XMLSource.perf_snapshot()``) — the bus is a
     complete account of the fast-path work.  The mirror is
-    duplicate-safe: an event object replayed onto the bus (a retried
-    parallel shard re-announcing itself, an observer re-emitting for
-    another bus) is applied at most once within a bounded recency
-    window.  Returns the installed handler (detach with
+    duplicate-safe: an event object replayed onto the bus (an observer
+    re-emitting for another bus) is applied at most once within a
+    bounded recency window.  Returns the installed handler (detach with
     ``bus.unsubscribe_all(handler)``).
     """
     seen: "OrderedDict[int, object]" = OrderedDict()

@@ -88,10 +88,11 @@ class ClassifyStage(_SourceStage):
     """Classification phase: rank against every DTD, apply ``sigma``;
     below-threshold documents are deposited and the run halts.
 
-    A context arriving with ``ctx.classification`` already set (the
-    parallel merge path injects worker-computed results) skips the
-    classifier call; everything downstream — the deposit, the events,
-    the halt — is identical either way.
+    A context arriving with ``ctx.classification`` already set (a
+    caller that classified the document itself, see
+    :meth:`~repro.core.engine.XMLSource.process`) skips the classifier
+    call; everything downstream — the deposit, the events, the halt —
+    is identical either way.
     """
 
     name = "classify"
@@ -484,10 +485,10 @@ class Pipeline:
     ) -> PipelineContext:
         """One document through the full loop.
 
-        A precomputed ``classification`` (from a parallel worker, for
-        the same document against the *current* DTD set) is injected
-        into the context and the classify stage reuses it instead of
-        re-classifying; callers are responsible for its freshness.
+        A precomputed ``classification`` (for the same document against
+        the *current* DTD set) is injected into the context and the
+        classify stage reuses it instead of re-classifying; callers are
+        responsible for its freshness.
         """
         ctx = PipelineContext(document)
         ctx.classification = classification

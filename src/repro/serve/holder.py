@@ -3,12 +3,11 @@
 A :class:`SnapshotHolder` owns the service's reader-visible view of the
 engine.  Each published :class:`ServeSnapshot` is an immutable value —
 a serve-side epoch number, the engine's state version, the pickled
-:class:`~repro.parallel.snapshot.ClassifierSnapshot` bytes with their
-content fingerprint, and the DTD names frozen at publish time.  Readers
-obtain the current snapshot with one attribute read (:attr:`current`),
-which CPython makes atomic under the GIL: a reader either sees the old
-epoch or the new one, never a mixture — the same epoch discipline the
-parallel driver applies between processes, applied between requests.
+:class:`~repro.classification.snapshot.ClassifierSnapshot` bytes with
+their content fingerprint, and the DTD names frozen at publish time.
+Readers obtain the current snapshot with one attribute read
+(:attr:`current`), which CPython makes atomic under the GIL: a reader
+either sees the old epoch or the new one, never a mixture.
 
 Publishing is the single writer's job.  :meth:`refresh_from` asks the
 engine for its (cached, content-addressed) snapshot payload and swaps a
@@ -36,7 +35,7 @@ class ServeSnapshot(NamedTuple):
     state_version: int
     #: blake2b content address of ``payload``
     fingerprint: str
-    #: the pickled :class:`~repro.parallel.snapshot.ClassifierSnapshot`
+    #: the pickled :class:`~repro.classification.snapshot.ClassifierSnapshot`
     #: — readers unpickle (at most once per fingerprint per thread) and
     #: classify against the rebuilt frozen classifier
     payload: bytes

@@ -6,8 +6,7 @@ Concurrency model (DESIGN.md decision 13):
   grabs the current :class:`~repro.serve.holder.ServeSnapshot` with one
   lock-free read, then classifies on a reader thread pool against a
   frozen classifier rebuilt from the snapshot's pickled bytes (cached
-  per thread per fingerprint, exactly like parallel workers cache
-  theirs).  A reader that started under epoch *N* finishes under epoch
+  per thread per fingerprint).  A reader that started under epoch *N* finishes under epoch
   *N* even if an evolution publishes *N+1* mid-flight — snapshot
   isolation, for free, from immutability.
 - **Writers** (``POST /deposit``, ``/evolve``, ``/drain``) funnel
@@ -667,11 +666,11 @@ class ReproService:
         bus-event handlers running on the writer thread carry the id of
         the request that enqueued the op — the id crosses the queue
         boundary with the op, not the thread.  Head-sampled ops run with
-        a :class:`SpanCollector` installed on the engine; the previous
-        tracer is restored *before* the snapshot refresh, because the
-        engine's snapshot payload is cached (and fingerprinted) per
-        tracing flag — restoring first guarantees a sampled op that
-        evolved nothing republishes nothing.
+        a :class:`SpanCollector` installed on the engine, restored to
+        the previous tracer once the op is applied.  The snapshot
+        refresh does not depend on that ordering: the engine's snapshot
+        payload is keyed on its state version alone, so a sampled op
+        that evolved nothing republishes nothing either way.
         """
         apply_start = time.perf_counter_ns()
         op.phases.append(("queue.wait", op.enqueued_ns, apply_start, {}))
@@ -685,8 +684,6 @@ class ReproService:
             try:
                 result = self._apply_write_op(op)
             finally:
-                # restore BEFORE refresh_from: the fingerprint of an
-                # unchanged engine must match the untraced one
                 if collector is not None:
                     self.source.set_tracer(previous_tracer)
                     op.records = collector.take_records()
@@ -869,11 +866,10 @@ class ReproService:
         )
 
     async def _handle_debug_vars(self, request, keep_alive) -> Tuple[int, bytes]:
-        """Service internals at a glance: queue/pool/snapshot state,
-        sampler tallies, and the full counters snapshot."""
+        """Service internals at a glance: queue/snapshot state, sampler
+        tallies, and the full counters snapshot."""
         self._refresh_scrape_gauges()
         snapshot = self.holder.current
-        pools = getattr(self.source, "_worker_pools", {}) or {}
         body = {
             "queue_depth": self._pending_writes,
             "inflight": self._inflight,
@@ -891,7 +887,6 @@ class ReproService:
                 "reuses": self.holder.reuses,
                 "dtd_names": list(snapshot.dtd_names),
             },
-            "worker_pools": sorted(pools),
             "reader_threads": self.config.reader_threads,
             "sampler": self.sampler.stats(),
             "ring": {

@@ -1,16 +1,12 @@
 """``PerfCounters.merge`` and the counter-bus subscriber.
 
-Workers report *cumulative* snapshots after every chunk, and a retried
-shard makes the same worker report the same ground twice — the merge
-must be duplicate-safe (keyed diffs), commutative across workers, and
-the event-bus subscriber must not double-apply a redelivered event.
+The merge adds deltas commutatively, and the event-bus subscriber must
+not double-apply a redelivered event.
 """
 
 from __future__ import annotations
 
-import random
-
-from repro.perf import COUNTER_NAMES, PerfCounters
+from repro.perf import PerfCounters
 from repro.pipeline.events import (
     DocumentClassified,
     EventBus,
@@ -19,14 +15,8 @@ from repro.pipeline.events import (
 from repro.pipeline.events import _SEEN_EVENT_WINDOW
 
 
-def _snapshot(**values):
-    snapshot = {name: 0 for name in COUNTER_NAMES}
-    snapshot.update(values)
-    return snapshot
-
-
 # ----------------------------------------------------------------------
-# Keyless merge: plain commutative addition
+# Merge: plain commutative addition
 # ----------------------------------------------------------------------
 
 
@@ -49,77 +39,6 @@ def test_keyless_merge_is_commutative():
     for delta in reversed(deltas):
         backward.merge(delta)
     assert forward.snapshot() == backward.snapshot()
-
-
-# ----------------------------------------------------------------------
-# Keyed merge: cumulative reports, duplicate-safe
-# ----------------------------------------------------------------------
-
-
-def test_keyed_merge_applies_only_the_diff():
-    counters = PerfCounters()
-    counters.merge(_snapshot(dp_runs=4, validations=2), key="w1")
-    applied = counters.merge(_snapshot(dp_runs=7, validations=2), key="w1")
-    assert applied == {"dp_runs": 3}
-    assert counters.dp_runs == 7 and counters.validations == 2
-
-
-def test_retried_shard_reporting_twice_does_not_double_count():
-    """The driver's retry path: after a retry the worker re-reports a
-    cumulative snapshot covering ground already merged."""
-    counters = PerfCounters()
-    first = _snapshot(documents_classified=5, dp_runs=9)
-    counters.merge(first, key="w1")
-    # the retry re-delivers the identical cumulative snapshot
-    applied = counters.merge(dict(first), key="w1")
-    assert applied == {}
-    assert counters.documents_classified == 5 and counters.dp_runs == 9
-    # ...and later honest progress still lands
-    counters.merge(_snapshot(documents_classified=8, dp_runs=11), key="w1")
-    assert counters.documents_classified == 8 and counters.dp_runs == 11
-
-
-def test_keyed_merge_is_commutative_across_workers():
-    reports = [
-        ("w1", _snapshot(dp_runs=3, documents_classified=2)),
-        ("w2", _snapshot(dp_runs=5, documents_classified=4)),
-        ("w1", _snapshot(dp_runs=6, documents_classified=3)),
-        ("w2", _snapshot(dp_runs=5, documents_classified=4)),  # duplicate
-        ("w3", _snapshot(validations=9)),
-    ]
-    expected = {"dp_runs": 6 + 5, "documents_classified": 3 + 4, "validations": 9}
-    for seed in range(6):
-        # within one worker, cumulative order is preserved (the driver
-        # merges a worker's reports in completion order); across workers
-        # any interleaving must yield the same totals
-        per_worker = {}
-        for key, snapshot in reports:
-            per_worker.setdefault(key, []).append(snapshot)
-        order = [key for key, _ in reports]
-        random.Random(seed).shuffle(order)
-        counters = PerfCounters()
-        for key in order:
-            counters.merge(per_worker[key].pop(0), key=key)
-        got = {k: v for k, v in counters.snapshot().items() if v}
-        assert got == expected, seed
-
-
-def test_keyed_merge_latest_wins_after_pool_restart():
-    """A fresh worker process reuses nothing: new key, full snapshot
-    counts from zero."""
-    counters = PerfCounters()
-    counters.merge(_snapshot(dp_runs=4), key="123:aaaa")
-    counters.merge(_snapshot(dp_runs=2), key="123:bbbb")  # recycled pid, new uuid
-    assert counters.dp_runs == 6
-
-
-def test_reset_clears_per_source_memory():
-    counters = PerfCounters()
-    counters.merge(_snapshot(dp_runs=4), key="w1")
-    counters.reset()
-    assert counters.dp_runs == 0
-    counters.merge(_snapshot(dp_runs=4), key="w1")
-    assert counters.dp_runs == 4
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,9 @@ drain, plus the PR-1 classification tiers), once with
 runs must be **bit-identical** in everything observable: per-document
 outcomes, full exact rankings, evaluation triples, repository contents,
 the evolution log, the final DTD serializations, and the lifecycle
-event sequence (pattern of ``tests/test_parallel_differential.py``,
-whose run-fingerprinting helpers this module reuses).  Scenarios
-include E12-style long runs with several evolutions and a
-mid-batch-evolution parallel run with ``workers=4``.
+event sequence (the run fingerprinting of ``tests/differential_utils.py``).
+Scenarios include E12-style long runs with several evolutions and a
+run whose evolutions trigger mid-batch.
 
 Also here: the drain determinism regression (insertion order and
 recovered counts identical across ``MemoryStore`` and ``JsonlStore``,
@@ -22,11 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.test_parallel_differential import (
-    _COMPARED,
-    _multi_dtd_corpus,
-    _run,
-)
+from tests.differential_utils import COMPARED, multi_dtd_corpus, run_batch
 
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig, evolve_dtd
@@ -40,14 +35,11 @@ FAST = FastPathConfig()
 REFERENCE = FastPathConfig.disabled()
 
 
-def assert_fast_slow_identical(build_source, documents, workers=0, chunk_size=0):
+def assert_fast_slow_identical(build_source, documents):
     """Incremental+pruned vs. the reference path: every artefact equal."""
-    fast = _run(
-        lambda: build_source(FAST), documents,
-        workers=workers, chunk_size=chunk_size,
-    )
-    slow = _run(lambda: build_source(REFERENCE), documents, workers=0)
-    for key in _COMPARED:
+    fast = run_batch(lambda: build_source(FAST), documents)
+    slow = run_batch(lambda: build_source(REFERENCE), documents)
+    for key in COMPARED:
         assert fast[key] == slow[key], f"fast/reference diverge on {key}"
     return fast, slow
 
@@ -82,7 +74,7 @@ def test_differential_long_run_multiple_evolutions(seed):
 def test_differential_multi_dtd_corpus():
     """Mixed corpus over three scenario DTDs with evolution armed:
     pruning must stay sound when only one DTD of several evolved."""
-    dtds, documents = _multi_dtd_corpus(per_scenario=8, seed=19)
+    dtds, documents = multi_dtd_corpus(per_scenario=8, seed=19)
 
     def build(fastpath):
         return XMLSource(
@@ -95,10 +87,10 @@ def test_differential_multi_dtd_corpus():
     assert fast["source"].evolution_count >= 1
 
 
-def test_differential_parallel_mid_batch_evolution():
-    """The acceptance scenario: incremental+pruned with ``workers=4``
-    and evolutions triggering mid-batch, against the serial reference
-    path — bit-identical artefacts end to end."""
+def test_differential_mid_batch_evolution():
+    """The acceptance scenario: incremental+pruned with evolutions
+    triggering mid-batch, against the reference path — bit-identical
+    artefacts end to end."""
     documents = figure3_workload(30, 30, seed=7)
 
     def build(fastpath):
@@ -108,9 +100,7 @@ def test_differential_parallel_mid_batch_evolution():
             fastpath=fastpath,
         )
 
-    fast, _slow = assert_fast_slow_identical(
-        build, documents, workers=4, chunk_size=5
-    )
+    fast, _slow = assert_fast_slow_identical(build, documents)
     assert fast["source"].evolution_count >= 1
 
 
@@ -297,10 +287,9 @@ def test_timers_accumulate_nest_and_reset():
     snapshot = counters.snapshot()
     for name in TIMER_NAMES:
         assert name in snapshot
-    # timers ride the keyed duplicate-safe merge like any counter
+    # timers ride the delta merge like any counter
     other = PerfCounters()
-    other.merge(snapshot, key="w1")
-    other.merge(dict(snapshot), key="w1")
+    other.merge(snapshot)
     assert other.evolve_ns == counters.evolve_ns
     counters.reset()
     assert all(value == 0 for value in counters.snapshot().values())

@@ -1,8 +1,8 @@
 """The observability layer (``repro.obs``): span trees, exports,
 metrics, reports, and — most importantly — the guarantees the engine
 makes about them: tracing never changes outputs, the no-op default
-stays out of the way, and a ``workers=4`` run still produces a single
-rooted span tree.
+stays out of the way, and a traced batch produces a single rooted span
+tree.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ class TestTracer:
         assert inner.end_ns <= outer.end_ns
 
     def test_splice_remaps_rebases_and_stamps(self):
+        """Grafted records get fresh ids, their roots are rebased onto
+        ``parent_id``, and the splice attributes land on every span."""
         collector = SpanCollector()
         with collector.span("w.outer", k="v"):
             with collector.span("w.inner"):
@@ -124,10 +126,8 @@ class TestTracer:
 
         tracer = Tracer()
         root = tracer.start("root")
-        grafted = tracer.splice(
-            records, parent_id=root.span_id, rebase_to=root.start_ns + 10,
-            worker=7,
-        )
+        tracer.start("local")  # ids 1 and 2 taken: the graft must remap
+        grafted = tracer.splice(records, parent_id=root.span_id, op=7)
         tracer.finish(root)
         assert grafted == 2
         _assert_single_rooted_tree(tracer.spans)
@@ -135,12 +135,11 @@ class TestTracer:
         inner = next(s for s in tracer.spans if s.name == "w.inner")
         assert outer.parent_id == root.span_id
         assert inner.parent_id == outer.span_id  # internal link preserved
-        assert outer.attrs == {"k": "v", "worker": 7}
-        assert min(outer.start_ns, inner.start_ns) == root.start_ns + 10
-        # durations survive the rebase
-        original = {r[2]: r[4] - r[3] for r in records}
-        assert outer.duration_ns == original["w.outer"]
-        assert inner.duration_ns == original["w.inner"]
+        assert outer.attrs == {"k": "v", "op": 7}
+        # same-process clock: the grafted spans keep their timestamps
+        original = {r[2]: (r[3], r[4]) for r in records}
+        assert (outer.start_ns, outer.end_ns) == original["w.outer"]
+        assert (inner.start_ns, inner.end_ns) == original["w.inner"]
 
     def test_splice_empty_is_a_noop(self):
         tracer = Tracer()
@@ -175,7 +174,7 @@ class TestNullTracer:
 class TestExport:
     def _traced_tracer(self):
         tracer = Tracer(trace_id="t1")
-        with tracer.span("root", worker=3):
+        with tracer.span("root", doc_id=3):
             with tracer.span("leaf"):
                 pass
         return tracer
@@ -191,7 +190,8 @@ class TestExport:
             assert event["ts"] >= 0  # rebased to zero
             assert event["dur"] >= 0
         root_event = next(e for e in complete if e["name"] == "root")
-        assert root_event["tid"] == 3  # worker attr becomes the lane
+        assert root_event["tid"] == 0  # one timeline row
+        assert root_event["args"]["doc_id"] == 3  # attrs ride the args
         assert any(e["ph"] == "M" for e in events)  # process_name metadata
 
     def test_round_trip_both_formats(self, tmp_path):
@@ -450,50 +450,6 @@ class TestEngineTracing:
         assert len(standalone) == 1
 
 
-class TestParallelTracing:
-    def test_workers4_single_rooted_tree_and_identical_outputs(self):
-        serial = _source().process_many(figure3_workload())
-        tracer = Tracer()
-        parallel_source = _source()
-        parallel = parallel_source.process_many(
-            figure3_workload(), workers=4, trace=tracer
-        )
-        assert _outcome_view(parallel) == _outcome_view(serial)
-        _assert_single_rooted_tree(tracer.spans)
-        root = next(s for s in tracer.spans if s.parent_id is None)
-        assert root.name == "batch"
-
-        epochs = [s for s in tracer.spans if s.name == "epoch"]
-        assert epochs, "parallel run must emit epoch spans"
-        epoch_ids = {s.span_id for s in epochs}
-        assert all(s.parent_id == root.span_id for s in epochs)
-
-        workers = [s for s in tracer.spans if s.name == "worker.classify"]
-        assert workers, "worker spans must be spliced back"
-        assert all(s.parent_id in epoch_ids for s in workers)
-        assert all("worker" in s.attrs and "shard" in s.attrs for s in workers)
-        # provenance: every merged document's worker span points at the
-        # doc span the merge replay produced
-        doc_ids = {
-            s.attrs["doc_id"] for s in tracer.spans if s.name == "doc"
-        }
-        assert {s.attrs["doc_id"] for s in workers} == doc_ids
-
-    def test_worker_spans_start_inside_their_epoch(self):
-        # splicing rebases a worker batch to *start* at its merge point
-        # (worker clocks are incomparable; durations are preserved), so
-        # a long worker span may end after the epoch closes — but it
-        # always begins inside it
-        tracer = Tracer()
-        _source().process_many(figure3_workload(), workers=4, trace=tracer)
-        epochs = {s.span_id: s for s in tracer.spans if s.name == "epoch"}
-        for span in tracer.spans:
-            if span.name == "worker.classify":
-                epoch = epochs[span.parent_id]
-                assert epoch.start_ns <= span.start_ns <= epoch.end_ns
-                assert span.duration_ns >= 0
-
-
 # ----------------------------------------------------------------------
 # Property tests
 # ----------------------------------------------------------------------
@@ -531,28 +487,22 @@ class TestSpanProperties:
             assert span.end_ns <= parent.end_ns
             assert finished_at[span.span_id] < finished_at[parent.span_id]
 
-    @given(
-        shapes=st.lists(_tree_shapes, min_size=1, max_size=4),
-        rebase=st.integers(min_value=0, max_value=10**6),
-    )
+    @given(shapes=st.lists(_tree_shapes, min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
-    def test_spliced_worker_batches_form_one_rooted_tree(self, shapes, rebase):
-        collectors = [SpanCollector() for _ in shapes]
-        batches = []
-        for collector, shape in zip(collectors, shapes):
-            _execute(collector, shape, name="w")
-            batches.append(collector.take_records())
+    def test_spliced_worker_batches_form_one_rooted_tree(self, shapes):
+        # the serve shape: one collector per sampled op, each drained
+        # and grafted under the open root
         tracer = Tracer()
-        root = tracer.start("epoch")
-        for index, batch in enumerate(batches):
+        root = tracer.start("root")
+        for index, shape in enumerate(shapes):
+            collector = SpanCollector()
+            _execute(collector, shape, name="w")
             tracer.splice(
-                batch,
-                parent_id=root.span_id,
-                rebase_to=root.start_ns + rebase,
-                worker=index,
+                collector.take_records(), parent_id=root.span_id, op=index
             )
         tracer.finish(root)
         _assert_single_rooted_tree(tracer.spans)
         for span in tracer.spans:
             if span.name.startswith("w"):
-                assert span.start_ns >= root.start_ns
+                assert root.start_ns <= span.start_ns
+                assert span.end_ns <= root.end_ns

@@ -14,7 +14,6 @@ endpoints under load — lives in ``test_serve_concurrency.py``):
 - JSON log lines carry the ambient correlation id;
 - the drift monitor turns bus events into the health gauges/counters
   and its summary classifies drift states;
-- degradation events become WARN logs plus counter increments;
 - ``MetricsRegistry.expose()`` emits TYPE/HELP once per family with
   escaped labels, and ``scripts/check_metrics.py`` accepts it.
 """
@@ -38,15 +37,12 @@ from repro.obs import (
     RotatingJsonlSink,
     Sampler,
     SpanRing,
-    attach_degradation_monitor,
     build_request_spans,
     configure_json_logging,
     current_request_id,
     load_trace,
     request_context,
 )
-from repro.parallel.events import ParallelFallback, ShardRetried
-from repro.pipeline.events import EventBus
 from repro.xmltree.parser import parse_document
 
 
@@ -273,56 +269,6 @@ class TestJsonLogging:
 
 
 # ----------------------------------------------------------------------
-# Degradation visibility
-# ----------------------------------------------------------------------
-
-
-class TestDegradationMonitor:
-    def test_events_become_warn_logs_and_counters(self):
-        bus = EventBus()
-        registry = MetricsRegistry()
-        stream = io.StringIO()
-        logger = logging.getLogger("test.obs.live.degraded")
-        handler = configure_json_logging(stream=stream, logger=logger.name)
-        logger.propagate = False
-        detach = attach_degradation_monitor(bus, registry, logger=logger)
-        try:
-            # both label values pre-created at 0: scrapes show the
-            # family before anything degrades
-            exposition = registry.expose()
-            assert 'repro_degraded_ops_total{event="shard_retried"} 0' in exposition
-            assert 'repro_degraded_ops_total{event="parallel_fallback"} 0' in exposition
-
-            bus.emit(ShardRetried(
-                epoch=2, shard_index=1, documents=8, error="worker died"
-            ))
-            bus.emit(ParallelFallback(
-                epoch=3, shard_index=-1, documents=40, reason="pool busted"
-            ))
-            lines = [json.loads(l) for l in stream.getvalue().splitlines()]
-            assert [l["level"] for l in lines] == ["WARNING", "WARNING"]
-            assert lines[0]["event"] == "shard_retried"
-            assert lines[0]["shard"] == 1
-            assert "worker died" in lines[0]["message"]
-            assert lines[1]["event"] == "parallel_fallback"
-            assert "whole batch" in lines[1]["message"]
-            assert registry.counter(
-                "repro_degraded_ops_total", event="shard_retried"
-            ).value == 1
-            assert registry.counter(
-                "repro_degraded_ops_total", event="parallel_fallback"
-            ).value == 1
-        finally:
-            detach()
-            logger.removeHandler(handler)
-        # detached: further events no longer count
-        bus.emit(ShardRetried(epoch=4, shard_index=0, documents=1, error="x"))
-        assert registry.counter(
-            "repro_degraded_ops_total", event="shard_retried"
-        ).value == 1
-
-
-# ----------------------------------------------------------------------
 # DriftMonitor
 # ----------------------------------------------------------------------
 
@@ -359,7 +305,6 @@ class TestDriftMonitor:
                 "repro_dtd_activation_score",
                 "repro_deposit_similarity_bucket",
                 "repro_repository_sigma_margin",
-                "repro_degraded_ops_total",
             ):
                 assert family in exposition, family
         finally:
@@ -377,7 +322,6 @@ class TestDriftMonitor:
             assert summary["dtds"]["figure3"]["status"] == "ok"
             assert summary["repository"]["misfits"] == 0
             assert summary["evolution"]["total"] == 0
-            assert summary["degraded_ops"] == 0
 
             for doc in figure3_workload(count_d1=0, count_d2=6, seed=5):
                 source.process(doc)

@@ -1,18 +1,19 @@
 """Tests for the staged pipeline and its lifecycle event bus
 (repro.pipeline): stage composition, event sequences, bus-mirrored perf
-counters, and the memory-vs-jsonl store equivalence of the full engine.
+counters, injected classifications, and the memory-vs-jsonl store
+equivalence of the full engine.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.classification.stores import JsonlStore, MemoryStore
+from repro.classification.stores import JsonlStore, MemoryStore, SqliteStore
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
-from repro.perf import PerfCounters
+from repro.perf import TIMER_NAMES, PerfCounters
 from repro.pipeline import (
     LIFECYCLE_EVENTS,
     DocumentClassified,
@@ -29,6 +30,8 @@ from repro.pipeline import (
 from repro.pipeline.context import PipelineContext
 from repro.triggers.trigger import TriggerSet
 from repro.xmltree.parser import parse_document
+
+from tests.differential_utils import COMPARED, run_view
 
 
 def _source(**overrides):
@@ -319,6 +322,57 @@ class TestPerfOverBus:
         source.process(parse_document("<a><b>x</b><c>y</c></a>"))
         for event in observed.events:
             assert all(value != 0 for value in event.perf_delta.values())
+
+
+# ----------------------------------------------------------------------
+# Injected classifications
+# ----------------------------------------------------------------------
+
+
+class TestInjectedClassification:
+    @pytest.mark.parametrize("store_kind", ["memory", "sqlite"])
+    def test_process_with_classify_matches_process(self, tmp_path, store_kind):
+        """``process(d, classify(d))`` — the caller classifies, the
+        pipeline writes, which is how a benchmark times the two apart —
+        is the same run as ``process(d)``: outcomes, rankings, events,
+        evolution log, DTDs, repository and every non-timer counter,
+        over a drift stream whose evolutions drain the repository."""
+        drift = figure3_workload(25, 0, seed=3) + figure3_workload(0, 25, seed=4)
+        aliens = [parse_document(f"<alien><x>{i}</x></alien>") for i in range(4)]
+        documents = drift[:10] + aliens[:2] + drift[10:35] + aliens[2:] + drift[35:]
+
+        def run(name, step):
+            store = (
+                SqliteStore(str(tmp_path / f"{name}.sqlite"))
+                if store_kind == "sqlite" else MemoryStore()
+            )
+            source = XMLSource(
+                [figure3_dtd()],
+                EvolutionConfig(sigma=0.4, tau=0.05, min_documents=6),
+                store=store,
+            )
+            return run_view(
+                source,
+                lambda source: [step(source, d.copy()) for d in documents],
+            )
+
+        whole = run("whole", lambda source, d: source.process(d))
+        split = run(
+            "split", lambda source, d: source.process(d, source.classify(d))
+        )
+        for key in COMPARED:
+            assert whole[key] == split[key], key
+        counters = {
+            name: value for name, value in whole["perf"].items()
+            if name not in TIMER_NAMES
+        }
+        assert counters == {
+            name: value for name, value in split["perf"].items()
+            if name not in TIMER_NAMES
+        }
+        assert whole["source"].evolution_count >= 2
+        assert sum(outcome[3] for outcome in whole["outcomes"]) > 0  # drains
+        assert whole["repository"]  # the aliens stay deposited
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,7 @@ float similarities (JSON round-trips floats bit-exactly), same rankings,
 same evolution log (including the evolved DTDs' serializations), same
 repository contents in the same drain order.
 
-This is the serve-mode analogue of ``test_parallel_differential.py``:
-the single-writer queue imposes the same total order a batch
+The single-writer queue imposes the same total order a batch
 ``process_many`` would, so nothing may diverge.
 """
 
@@ -300,6 +299,58 @@ def test_sampling_never_perturbs_outcomes(tmp_path):
         sampled_source.close()
         plain_source.close()
         batch_source.close()
+
+
+def test_snapshot_fingerprint_ignores_tracing():
+    """Installing a tracer changes nothing a classification depends on,
+    so the engine's snapshot keeps one fingerprint (and one pickle)
+    across untraced, traced and untraced again."""
+    from repro.obs.tracing import Tracer
+
+    source = figure3_source()
+    untraced, _ = source.snapshot_payload()
+    source.set_tracer(Tracer())
+    traced, _ = source.snapshot_payload()
+    source.set_tracer(None)
+    again, _ = source.snapshot_payload()
+    assert untraced == traced == again
+    perf = source.perf_snapshot()
+    assert perf["snapshot_builds"] == 1
+    assert perf["snapshot_reuses"] == 2
+
+
+def test_served_classify_honours_the_tag_matcher():
+    """A served reader classifies with the engine's tag matcher: a
+    thesaurus synonym scores the same over HTTP as in the engine."""
+    from repro.core.engine import XMLSource
+    from repro.core.evolution import EvolutionConfig
+    from repro.dtd.parser import parse_dtd
+    from repro.similarity.tags import ThesaurusTagMatcher
+
+    dtd = parse_dtd(
+        "<!ELEMENT book (author, title)>"
+        "<!ELEMENT author (#PCDATA)><!ELEMENT title (#PCDATA)>",
+        name="book",
+    )
+    source = XMLSource(
+        [dtd], EvolutionConfig(sigma=0.3),
+        tag_matcher=ThesaurusTagMatcher([{"author", "writer"}]),
+    )
+    xml = "<book><writer>x</writer><title>y</title></book>"
+    expected = source.classify(parse_document(xml))
+    exact = XMLSource([dtd.copy()], EvolutionConfig(sigma=0.3))
+    # the synonym must matter, or this test proves nothing
+    assert expected.similarity > exact.classify(parse_document(xml)).similarity
+    with ServiceRunner(source, ServeConfig()) as runner:
+        client = ServeClient(runner.port)
+        try:
+            status, _, body = client.post("/classify", {"xml": xml})
+        finally:
+            client.close()
+    assert status == 200
+    assert body["dtd"] == expected.dtd_name
+    assert body["similarity"] == expected.similarity
+    assert body["ranking"] == [[n, s] for n, s in expected.ranking]
 
 
 def test_served_classify_is_read_only():

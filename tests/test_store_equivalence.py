@@ -352,7 +352,7 @@ class TestShardedClassifierDifferential:
         assert sharded.shard_map() == (("D0", "D3"), ("D1", "D2"))
 
     def test_snapshot_shard_map_round_trips(self):
-        from repro.parallel.snapshot import ClassifierSnapshot
+        from repro.classification.snapshot import ClassifierSnapshot
 
         dtds = [
             parse_dtd(text, name=f"D{index}")
