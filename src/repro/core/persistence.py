@@ -132,9 +132,11 @@ def record_to_json(record: ElementRecord) -> Dict[str, Any]:
             ]
             for label, stats in record.label_stats.items()
         },
+        # sorted: the in-memory order follows a frozenset's iteration
+        # order, which depends on the per-process string hash seed
         "valid_label_stats": {
             label: [stats.instances_with, stats.min_occurrences, stats.max_occurrences]
-            for label, stats in record.valid_label_stats.items()
+            for label, stats in sorted(record.valid_label_stats.items())
         },
         "groups": [
             [sorted(group), count] for group, count in record.groups.items()

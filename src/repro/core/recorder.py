@@ -29,7 +29,6 @@ existing declaration, and inferring a second one could only conflict.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, FrozenSet, Optional, Set
 
 from repro.core.extended_dtd import ElementRecord, ExtendedDTD
@@ -39,12 +38,16 @@ from repro.similarity.triple import SimilarityConfig
 from repro.xmltree.document import Document, Element
 
 
-def _occurrences(element: Element) -> Counter:
-    """Occurrence count of each direct-subelement tag."""
-    return Counter(element.child_tags())
+def _occurrences(element: Element) -> Dict[str, int]:
+    """Occurrence count of each direct-subelement tag, in first-seen order."""
+    occurrences: Dict[str, int] = {}
+    for child in element.children:
+        if isinstance(child, Element):
+            occurrences[child.tag] = occurrences.get(child.tag, 0) + 1
+    return occurrences
 
 
-def _co_repetition_groups(occurrences: Counter) -> Dict[FrozenSet[str], int]:
+def _co_repetition_groups(occurrences: Dict[str, int]) -> Dict[FrozenSet[str], int]:
     """The paper's *groups*: for every repetition count > 1, the set of
     tags repeated exactly that number of times in this instance."""
     by_count: Dict[int, Set[str]] = {}
@@ -69,6 +72,11 @@ class Recorder:
         # and perf counters; recording always matches tags exactly, so
         # callers must not pass a thesaurus-backed matcher here
         self._matcher = matcher or StructureMatcher(extended.dtd, config)
+        #: declaration name -> its ``alphabeta`` (declared labels).  Kept
+        #: here rather than on the declaration: the engine builds a new
+        #: recorder for every DTD it installs and never mutates an
+        #: installed DTD, so the cache cannot go stale.
+        self._labels: Dict[str, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
 
@@ -83,6 +91,9 @@ class Recorder:
         phase — "since the similarity degrees have been computed in the
         first step, the second step is very quick") can be passed to
         avoid re-evaluating; otherwise the document is evaluated here.
+        A synthesized evaluation (tier 1 proved the document valid) is
+        recorded in one walk of the document, without reading its
+        per-element list.
         """
         if evaluation is None:
             evaluation = evaluate_document(
@@ -92,6 +103,9 @@ class Recorder:
         self.extended.sum_invalid_fraction += evaluation.invalid_element_fraction
         if evaluation.invalid_element_count == 0:
             self.extended.valid_document_count += 1
+        if evaluation.synthesized:
+            self._record_valid_document(evaluation.document.root)
+            return evaluation
 
         valid_tags_in_document: Set[str] = set()
         for element_evaluation in evaluation.elements:
@@ -100,76 +114,92 @@ class Recorder:
                 continue  # plus structure: captured via the parent's record
             record = self.extended.record_for(element.tag)
             if element_evaluation.is_locally_valid:
-                self._record_valid(record, element)
+                self._record_valid(record, element, _occurrences(element))
                 valid_tags_in_document.add(element.tag)
             else:
-                self._record_invalid(record, element)
+                self._record_invalid(
+                    record, element, self._declared_labels(element.tag)
+                )
         for tag in valid_tags_in_document:
             self.extended.record_for(tag).documents_with_valid += 1
         return evaluation
 
     # ------------------------------------------------------------------
 
-    def _record_valid(self, record: ElementRecord, element: Element) -> None:
+    def _declared_labels(self, name: str) -> FrozenSet[str]:
+        labels = self._labels.get(name)
+        if labels is None:
+            labels = self._labels[name] = self.extended.dtd[name].declared_labels()
+        return labels
+
+    def _record_valid_document(self, root: Element) -> None:
+        """Record a document whose every element is declared and locally
+        valid: exactly the per-element loop of :meth:`record` over its
+        synthesized evaluation, as one preorder walk that tallies each
+        element's child tags while pushing its element children."""
+        dtd = self.extended.dtd
+        seen: Dict[str, ElementRecord] = {}
+        stack = [root]
+        while stack:
+            element = stack.pop()
+            occurrences: Dict[str, int] = {}
+            for child in reversed(element.children):
+                if isinstance(child, Element):
+                    stack.append(child)
+                    occurrences[child.tag] = occurrences.get(child.tag, 0) + 1
+            record = seen.get(element.tag)
+            if record is None:
+                if element.tag not in dtd:
+                    continue  # as in :meth:`record` (never in a valid document)
+                record = seen[element.tag] = self.extended.record_for(element.tag)
+            self._record_valid(record, element, occurrences)
+        for record in seen.values():
+            record.documents_with_valid += 1
+
+    def _record_valid(
+        self, record: ElementRecord, element: Element, occurrences: Dict[str, int]
+    ) -> None:
         record.valid_count += 1
         for attribute in element.attributes:
             record.attribute_counts[attribute] += 1
-        occurrences = _occurrences(element)
-        decl = self.extended.dtd[record.name]
-        for label in decl.declared_labels():
+        for label in self._declared_labels(record.name):
             record.valid_stats_for(label).observe(occurrences.get(label, 0))
 
-    def _record_invalid(self, record: ElementRecord, element: Element) -> None:
-        record.invalid_count += 1
-        for attribute in element.attributes:
-            record.attribute_counts[attribute] += 1
-        occurrences = _occurrences(element)
-        sequence = frozenset(occurrences)
-        record.sequences[sequence] += 1
-        record.observe_ordered_sequence(tuple(element.child_tags()))
-        if element.has_text():
-            record.text_count += 1
-        if not occurrences and not element.has_text():
-            record.empty_count += 1
-        for tag in element.child_tags():  # first-seen order, document order
-            if tag not in record.labels:
-                record.labels[tag] = len(record.labels)
-        for tag, count in occurrences.items():
-            record.stats_for(tag).observe(count)
-        for group, _count in _co_repetition_groups(occurrences).items():
-            record.groups[group] += 1
-        # nested recording of labels unknown to the whole DTD
-        decl = self.extended.dtd.get(record.name)
-        declared_here = decl.declared_labels() if decl else frozenset()
-        for child in element.element_children():
-            if child.tag in self.extended.dtd or child.tag in declared_here:
-                continue
-            self._record_plus(record.plus_record_for(child.tag), child)
+    def _record_invalid(
+        self, record: ElementRecord, element: Element, declared_here: FrozenSet[str]
+    ) -> None:
+        """Record a non-valid instance, then — recursively, as *plus*
+        records — its children whose tags neither the DTD nor
+        ``declared_here`` (the instance's own declared labels) know.
 
-    def _record_plus(self, record: ElementRecord, element: Element) -> None:
-        """Recursive recording of an element unknown to the DTD.
-
-        Every instance is "non valid" by definition (no declaration), so
-        only the invalid-side structures are filled.
+        A plus element has no declaration to be valid against, so every
+        instance is non-valid by definition and only the invalid-side
+        structures are filled.
         """
         record.invalid_count += 1
         for attribute in element.attributes:
             record.attribute_counts[attribute] += 1
+        tags = element.child_tags()
         occurrences = _occurrences(element)
         record.sequences[frozenset(occurrences)] += 1
-        record.observe_ordered_sequence(tuple(element.child_tags()))
-        if element.has_text():
+        record.observe_ordered_sequence(tuple(tags))
+        has_text = element.has_text()
+        if has_text:
             record.text_count += 1
-        if not occurrences and not element.has_text():
+        if not occurrences and not has_text:
             record.empty_count += 1
-        for tag in element.child_tags():
+        for tag in tags:  # first-seen order, document order
             if tag not in record.labels:
                 record.labels[tag] = len(record.labels)
         for tag, count in occurrences.items():
             record.stats_for(tag).observe(count)
-        for group, _count in _co_repetition_groups(occurrences).items():
+        for group in _co_repetition_groups(occurrences):
             record.groups[group] += 1
+        # nested recording of labels unknown to the whole DTD
+        dtd = self.extended.dtd
         for child in element.element_children():
-            if child.tag in self.extended.dtd:
+            if child.tag in dtd or child.tag in declared_here:
                 continue
-            self._record_plus(record.plus_record_for(child.tag), child)
+            self._record_invalid(
+                record.plus_record_for(child.tag), child, frozenset()
+            )

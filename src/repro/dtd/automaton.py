@@ -409,35 +409,45 @@ class Validator:
         Stops at the first violation instead of collecting a full
         report, and skips path-string construction entirely — this is
         the hot pre-pass of the classification fast path (tier 1), so
-        the invalid case must stay as cheap as the valid one.
+        the invalid case must stay as cheap as the valid one.  Each
+        element's ``children`` are read once, collecting the child tags
+        and the text flag while pushing the element children; the
+        checks then mirror :meth:`_check_element` in its order.
         """
         if check_root and document.root.tag != self.dtd.root:
             return False
         stack: List[Element] = [document.root]
         while stack:
             element = stack.pop()
-            if not self._element_is_valid(element):
+            facts = self._facts(element.tag)
+            if facts is None:
                 return False
-            stack.extend(element.element_children())
+            tags: List[str] = []
+            has_text = False
+            for child in element.children:
+                if isinstance(child, Element):
+                    tags.append(child.tag)
+                    stack.append(child)
+                elif not has_text and child.value.strip():
+                    has_text = True
+            is_any, is_empty, allows_pcdata, is_mixed, allowed = facts
+            if is_any:
+                continue
+            if is_empty:
+                if element.children:
+                    return False
+                continue
+            if not allows_pcdata and has_text:
+                return False
+            if is_mixed:
+                if not all(tag in allowed for tag in tags):
+                    return False
+                continue
+            automaton = self._automaton(element.tag)
+            assert automaton is not None  # decl exists
+            if not automaton.accepts(tags):
+                return False
         return True
-
-    def _element_is_valid(self, element: Element) -> bool:
-        """One element's checks, mirroring :meth:`_check_element` exactly."""
-        facts = self._facts(element.tag)
-        if facts is None:
-            return False
-        is_any, is_empty, allows_pcdata, is_mixed, allowed = facts
-        if is_any:
-            return True
-        if is_empty:
-            return not element.children
-        if not allows_pcdata and element.has_text():
-            return False
-        if is_mixed:
-            return all(child.tag in allowed for child in element.element_children())
-        automaton = self._automaton(element.tag)
-        assert automaton is not None  # decl exists
-        return automaton.accepts(element.child_tags())
 
     def _check_element(self, element: Element, path: str) -> List[Violation]:
         decl = self.dtd.get(element.tag)

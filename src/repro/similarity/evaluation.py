@@ -67,21 +67,39 @@ class ElementEvaluation:
 
 
 class DocumentEvaluation:
-    """Similarity of a whole document against one DTD."""
+    """Similarity of a whole document against one DTD.
+
+    ``elements`` is ``None`` for the synthesized evaluation of a document
+    known to be valid (:func:`valid_document_evaluation`): then
+    :attr:`synthesized` is True, the per-element list is built on first
+    read of :attr:`elements`, and the invalid-element count is 0 without
+    building it.
+    """
 
     def __init__(
         self,
         document: Document,
         dtd: DTD,
         triple: EvalTriple,
-        elements: List[ElementEvaluation],
+        elements: Optional[List[ElementEvaluation]],
         config: SimilarityConfig,
     ):
         self.document = document
         self.dtd = dtd
         self.triple = triple
-        self.elements = elements
         self.config = config
+        #: every element is declared and locally valid (tier 1), so the
+        #: recorder may record the whole document in one walk
+        self.synthesized = elements is None
+        self._elements = elements
+        self._invalid_count: Optional[int] = 0 if elements is None else None
+
+    @property
+    def elements(self) -> List[ElementEvaluation]:
+        """Per-element evaluations, in document preorder."""
+        if self._elements is None:
+            self._elements = _valid_element_evaluations(self.document, self.config)
+        return self._elements
 
     @property
     def similarity(self) -> float:
@@ -95,16 +113,19 @@ class DocumentEvaluation:
     @property
     def invalid_element_count(self) -> int:
         """Number of elements whose local similarity is not full."""
-        return sum(
-            1 for evaluation in self.elements if not evaluation.is_locally_valid
-        )
+        if self._invalid_count is None:
+            self._invalid_count = sum(
+                1 for evaluation in self.elements if not evaluation.is_locally_valid
+            )
+        return self._invalid_count
 
     @property
     def invalid_element_fraction(self) -> float:
         """The per-document term of the paper's activation condition."""
-        if not self.elements:
+        invalid = self.invalid_element_count
+        if invalid == 0:
             return 0.0
-        return self.invalid_element_count / len(self.elements)
+        return invalid / len(self.elements)
 
     @property
     def is_valid(self) -> bool:
@@ -184,8 +205,18 @@ def valid_document_evaluation(
     tie-break onto non-all-common optima), and a document shallower
     than ``config.max_depth`` (beyond it the DP truncates recursion and
     its common totals shrink).  The classifier's tier-1 fast path
-    checks all four.
+    checks all four.  The per-element list is built on first read of
+    :attr:`DocumentEvaluation.elements`, from the document as it is then
+    (the pipeline never mutates a document).
     """
+    document_triple = EvalTriple(common=document.root.structure_info().weight)
+    return DocumentEvaluation(document, dtd, document_triple, None, config)
+
+
+def _valid_element_evaluations(
+    document: Document, config: SimilarityConfig
+) -> List[ElementEvaluation]:
+    """The per-element triples :func:`valid_document_evaluation` defers."""
     evaluations: List[ElementEvaluation] = []
     for element in document.root.iter_elements():
         items = 0
@@ -197,8 +228,7 @@ def valid_document_evaluation(
         evaluations.append(
             ElementEvaluation(element, True, local_triple, global_triple, config)
         )
-    document_triple = EvalTriple(common=document.root.structure_info().weight)
-    return DocumentEvaluation(document, dtd, document_triple, evaluations, config)
+    return evaluations
 
 
 def similarity(

@@ -126,10 +126,16 @@ class Element:
         return "".join(text.value for text in self.text_children())
 
     def iter_elements(self) -> Iterator["Element"]:
-        """Yield this element and every descendant element, preorder."""
-        yield self
-        for child in self.element_children():
-            yield from child.iter_elements()
+        """Yield this element and every descendant element, preorder.
+
+        Walks with an explicit stack, so each element costs O(1) at any
+        depth and no depth exhausts the interpreter stack.
+        """
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(reversed(element.element_children()))
 
     def find(self, tag: str) -> Optional["Element"]:
         """First direct subelement with the given tag, or ``None``."""

@@ -37,6 +37,29 @@ class TestElementNavigation:
         root = element("a", element("b", element("d")), element("c"))
         assert [e.tag for e in root.iter_elements()] == ["a", "b", "d", "c"]
 
+        def preorder(node):  # the recursive definition
+            yield node
+            for child in node.element_children():
+                yield from preorder(child)
+
+        wide = element(
+            "r",
+            "text",
+            element("x", element("y", "1"), element("z")),
+            element("y", element("x", element("z"), "t", element("z"))),
+            element("z"),
+        )
+        assert [id(e) for e in wide.iter_elements()] == [
+            id(e) for e in preorder(wide)
+        ]
+
+        # far deeper than the interpreter's recursion limit
+        chain = Element("e0")
+        for depth in range(1, 5000):
+            chain = Element(f"e{depth}", children=[chain])
+        tags = [e.tag for e in chain.iter_elements()]
+        assert tags == [f"e{depth}" for depth in range(4999, -1, -1)]
+
     def test_element_count(self):
         root = element("a", element("b", element("d")), element("c"))
         assert root.element_count() == 4

@@ -12,11 +12,14 @@ actually fire.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.classification.classifier import Classifier
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
+from repro.core.persistence import extended_to_json, save_source
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.documents import DocumentGenerator
@@ -108,13 +111,12 @@ def test_rank_equivalence_on_vs_off():
         assert fast.rank(document) == slow.rank(document)
 
 
-def test_engine_equivalence_with_evolutions():
-    """The full Figure-1 loop — including evolutions and repository
-    drains — produces identical outcomes and identical evolved DTDs."""
-    config = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
-    documents = figure3_workload(15, 15, seed=3)
-    fast = XMLSource([figure3_dtd()], config)
-    slow = XMLSource([figure3_dtd()], config, fastpath=FastPathConfig.disabled())
+def _assert_same_engine_run(make_dtds, documents, config, tmp_path):
+    """Fast paths on and off process ``documents`` identically: outcomes,
+    evolution log, evolved DTDs, recorded aggregates (values and dict
+    order) and saved bytes.  Returns the fast engine."""
+    fast = XMLSource(make_dtds(), config)
+    slow = XMLSource(make_dtds(), config, fastpath=FastPathConfig.disabled())
     fast_outcomes = fast.process_many([d.copy() for d in documents])
     slow_outcomes = slow.process_many([d.copy() for d in documents])
     for ours, theirs in zip(fast_outcomes, slow_outcomes):
@@ -122,15 +124,52 @@ def test_engine_equivalence_with_evolutions():
         assert ours.similarity == theirs.similarity
         assert ours.evolved == theirs.evolved
         assert ours.recovered == theirs.recovered
-    assert len(fast.evolution_log) == len(slow.evolution_log) > 0
+    assert len(fast.evolution_log) == len(slow.evolution_log)
     for ours, theirs in zip(fast.evolution_log, slow.evolution_log):
         assert ours.dtd_name == theirs.dtd_name
         assert ours.documents_recorded == theirs.documents_recorded
         assert ours.activation_score == theirs.activation_score
         assert ours.recovered_from_repository == theirs.recovered_from_repository
+    assert fast.dtd_names() == slow.dtd_names()
     for name in fast.dtd_names():
         assert serialize_dtd(fast.dtd(name)) == serialize_dtd(slow.dtd(name))
+        assert json.dumps(extended_to_json(fast.extended_dtd(name))) == json.dumps(
+            extended_to_json(slow.extended_dtd(name))
+        )
     assert len(fast.repository) == len(slow.repository)
+    save_source(fast, str(tmp_path / "fast.json"))
+    save_source(slow, str(tmp_path / "slow.json"))
+    assert (tmp_path / "fast.json").read_bytes() == (
+        tmp_path / "slow.json"
+    ).read_bytes()
+    # the comparison covers the tier-1 recording path only if it ran
+    assert fast.perf.validity_short_circuits > 0
+    assert slow.perf.validity_short_circuits == 0
+    return fast
+
+
+def test_engine_equivalence_with_evolutions(tmp_path):
+    """The full Figure-1 loop — including evolutions and repository
+    drains — produces identical outcomes, evolved DTDs and recordings."""
+    config = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
+    documents = figure3_workload(15, 15, seed=3)
+    fast = _assert_same_engine_run(
+        lambda: [figure3_dtd()], documents, config, tmp_path
+    )
+    assert fast.evolution_count > 0
+
+
+def test_engine_equivalence_over_scenarios(tmp_path):
+    """Recording through the engine over five DTDs, where tier 1 fires
+    for every scenario: the whole-document valid recording equals the
+    per-element recording of the reference path."""
+    makers = _scenario_set()[1]
+    config = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
+    fast = _assert_same_engine_run(
+        lambda: _scenario_set()[0], _mixed_stream(makers), config, tmp_path
+    )
+    for name in makers:
+        assert fast.extended_dtd(name).valid_document_count > 0
 
 
 def test_degenerate_weights_stay_exact():

@@ -1,6 +1,10 @@
 """Unit tests for JSON persistence of the source state."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,52 @@ class TestSource:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unsupported snapshot format"):
             source_from_json({"format": 999})
+
+
+#: processes one stream — valid documents of four scenarios, then a
+#: drifting Figure-3 workload that evolves — and saves the state to argv[1]
+_SAVE_ONE_STREAM = """
+import sys
+from repro.core.engine import XMLSource
+from repro.core.evolution import EvolutionConfig
+from repro.core.persistence import save_source
+from repro.generators.scenarios import (
+    auction_scenario, bibliography_scenario, catalog_scenario,
+    figure3_dtd, figure3_workload, newsfeed_scenario,
+)
+dtds, documents = [figure3_dtd()], []
+for offset, scenario in enumerate(
+    (catalog_scenario, bibliography_scenario, newsfeed_scenario, auction_scenario)
+):
+    dtd, make = scenario()
+    dtds.append(dtd)
+    documents.extend(make(3, 5 + offset))
+documents.extend(figure3_workload(6, 6, seed=5))
+source = XMLSource(dtds, EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5))
+source.process_many(documents)
+assert source.evolution_count > 0
+save_source(source, sys.argv[1])
+"""
+
+
+def test_saved_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Python randomizes string hashes per process, and with them the
+    iteration order of sets of tags; the same stream saved by two
+    processes with different ``PYTHONHASHSEED`` must give the same
+    bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    python_path = os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part
+    )
+    saved = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"state-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=python_path)
+        subprocess.run(
+            [sys.executable, "-c", _SAVE_ONE_STREAM, str(path)],
+            env=env,
+            check=True,
+            timeout=120,
+        )
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
