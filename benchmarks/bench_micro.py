@@ -14,12 +14,8 @@ runs an engine batch untraced and with a live tracer (``repro.obs``),
 asserts the traced outcomes are identical, the span tree is singly
 rooted, and the traced/untraced ratio stays under 2x (the decision-10
 "disabled tracing is free" guard) — pass ``--emit-metrics`` to embed
-per-span-name latency histogram summaries in the JSON.  Finally it
-times repeated evolutions over unchanged evidence cold (reference
-path) vs warm (element memos + the mined-rule memo carried between
-calls, ``repro.perf``), asserts the evolved DTDs stay bit-identical,
-and records the warm speedup and replay counters under
-``evolution_incremental``.  A ``store_scale`` section then times the
+per-span-name latency histogram summaries in the JSON.  A
+``store_scale`` section then times the
 pruned post-evolution drain at growing repository sizes against every
 document-store backend (memory, jsonl, sqlite), asserts the recovered
 documents agree everywhere and that sqlite took the indexed path, and
@@ -221,82 +217,6 @@ def _engine_run(dtds, documents):
         for outcome in outcomes
     ]
     return view, elapsed
-
-
-# ----------------------------------------------------------------------
-# Incremental evolution: cold vs warm repeated evolutions (repro.perf)
-# ----------------------------------------------------------------------
-
-
-def _recorded_figure3_source(documents):
-    """A source with Figure-3 drift recorded but not yet evolved, so
-    repeated ``evolve_dtd`` calls see the same (mining-heavy) evidence."""
-    from repro.core.engine import XMLSource
-    from repro.core.evolution import EvolutionConfig
-
-    source = XMLSource(
-        [figure3_dtd()],
-        EvolutionConfig(sigma=0.3, tau=0.05),
-        auto_evolve=False,
-    )
-    for document in documents:
-        source.process(document)
-    return source
-
-
-def _evolution_incremental_compare(documents, repeats):
-    """Time ``repeats`` evolutions over unchanged evidence: cold (the
-    reference path recomputes every element each time) vs warm (element
-    memos carried between calls + the shared mined-rule memo).  The
-    evolved DTDs must stay bit-identical."""
-    from repro.core.evolution import evolve_dtd
-    from repro.dtd.serializer import serialize_dtd
-    from repro.mining.memo import MinedRuleMemo
-
-    source = _recorded_figure3_source(documents)
-    extended = source.extended["figure3"]
-    config = source.config
-
-    reference = FastPathConfig.disabled()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        cold = evolve_dtd(extended, config, fastpath=reference)
-    cold_time = time.perf_counter() - start
-
-    counters = PerfCounters()
-    rule_memo = MinedRuleMemo()
-    fast = FastPathConfig()
-    extended.element_memos = {}
-    start = time.perf_counter()
-    for _ in range(repeats):
-        warm = evolve_dtd(
-            extended, config, fastpath=fast, counters=counters, rule_memo=rule_memo
-        )
-        # carry the memos exactly as EvolveStage does between evolutions
-        extended.element_memos = warm.element_memos
-    warm_time = time.perf_counter() - start
-
-    if serialize_dtd(cold.new_dtd) != serialize_dtd(warm.new_dtd):
-        raise AssertionError("evolution_incremental: cold and warm DTDs diverge")
-    if counters.evolution_element_skips == 0:
-        raise AssertionError("evolution_incremental: warm runs never replayed")
-    speedup = cold_time / warm_time if warm_time > 0 else float("inf")
-    print(
-        f"{'evolution_incr':<18} {len(documents):>4} docs x{repeats:<3}  "
-        f"cold {cold_time * 1000:8.1f} ms   warm {warm_time * 1000:8.1f} ms   "
-        f"speedup {speedup:5.1f}x"
-    )
-    return {
-        "documents": len(documents),
-        "repeats": repeats,
-        "cold_seconds": cold_time,
-        "warm_seconds": warm_time,
-        "speedup": speedup,
-        "element_skips": counters.evolution_element_skips,
-        "mined_rule_hits": counters.mined_rule_hits,
-        "mined_rule_misses": counters.mined_rule_misses,
-        "timers": counters.timings(),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -623,11 +543,6 @@ def main(argv=None):
     engine_corpus = _engine_corpus(makers, 15 if smoke else 125)
     results["tracing_overhead"] = _tracing_overhead_compare(
         dtds, engine_corpus, emit_metrics
-    )
-    evolve_docs, evolve_repeats = (16, 5) if smoke else (120, 10)
-    results["evolution_incremental"] = _evolution_incremental_compare(
-        figure3_workload(evolve_docs // 2, evolve_docs // 2, seed=7),
-        evolve_repeats,
     )
     scale_sizes = (64, 256) if smoke else (256, 1024, 4096)
     results["store_scale"] = _store_scale_compare(scale_sizes)

@@ -18,7 +18,6 @@ numeric rank in the range [0, 1]."
 
 from repro.classification.classifier import Classifier, ClassificationResult
 from repro.classification.repository import Repository
-from repro.classification.sharding import ShardedClassifier
 from repro.classification.stores import (
     DocumentStore,
     JsonlStore,
@@ -30,7 +29,6 @@ from repro.classification.stores import (
 __all__ = [
     "Classifier",
     "ClassificationResult",
-    "ShardedClassifier",
     "Repository",
     "DocumentStore",
     "MemoryStore",

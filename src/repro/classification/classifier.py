@@ -388,26 +388,15 @@ class Classifier:
         if not self._dtds:
             raise ClassificationError("the classifier holds no DTDs")
         self.counters.documents_classified += 1
-        return self._classify_document(document)
-
-    def _classify_document(
-        self, document: Document, census: Optional[_DocumentCensus] = None
-    ) -> ClassificationResult:
-        """The classification body behind :meth:`classify` (guard and
-        counter already applied).  :class:`ShardedClassifier` overrides
-        this to screen DTD shards first, falling back here when the
-        screen cannot soundly restrict the candidate set."""
         tier3 = self.fastpath.pruned_ranking and self._exact_semantics()
         if tier3:
-            if census is None:
-                census = profile_document(document)
+            census = profile_document(document)
             # beyond max_depth the DP truncates recursion, deflating the
             # plus totals the bound relies on — fall back to full ranking
             tier3 = census.height < self.config.max_depth
         if not tier3:
             return self._classify_full(document)
-        assert census is not None
-        return self._classify_pruned(document, census, list(self._dtds), ())
+        return self._classify_pruned(document, census)
 
     def _classify_full(self, document: Document) -> ClassificationResult:
         """The complete-ranking path (tier 3 inapplicable)."""
@@ -424,25 +413,17 @@ class Classifier:
         return self._finish(document, evaluated, evaluated, short_circuited)
 
     def _classify_pruned(
-        self,
-        document: Document,
-        census: _DocumentCensus,
-        names: List[str],
-        extra_pruned: Tuple[str, ...],
+        self, document: Document, census: _DocumentCensus
     ) -> ClassificationResult:
-        """The tier-3 best-bound-first loop over ``names``.
-
-        ``extra_pruned`` carries DTD names a caller already proved
-        unable to score above 0.0 (shard screening); like bound-skipped
-        names they join the lazily-realized ranking tail.
-        """
+        """The tier-3 best-bound-first loop; skipped DTDs join the
+        lazily-realized ranking tail."""
         tier1 = self.fastpath.validity_short_circuit and self._exact_semantics()
         short_circuited: Set[str] = set()
         bounds = {
-            name: self._bounds[name].upper_bound(census, self.config)
-            for name in names
+            name: data.upper_bound(census, self.config)
+            for name, data in self._bounds.items()
         }
-        order = sorted(names, key=lambda name: (-bounds[name], name))
+        order = sorted(self._dtds, key=lambda name: (-bounds[name], name))
         evaluated: Ranking = []
         skipped: List[str] = []
         best_seen = float("-inf")
@@ -461,15 +442,10 @@ class Classifier:
             if similarity > best_seen:
                 best_seen = similarity
         evaluated.sort(key=lambda pair: (-pair[1], pair[0]))
+        ranking: Union[Ranking, Callable[[], Ranking]] = evaluated
         if skipped:
             self.counters.bound_skips += len(skipped)
-        pruned = tuple(skipped) + extra_pruned
-        if pruned:
-            ranking: Union[Ranking, Callable[[], Ranking]] = self.deferred_ranking(
-                document, evaluated, pruned
-            )
-        else:
-            ranking = evaluated
+            ranking = self.deferred_ranking(document, evaluated, tuple(skipped))
         return self._finish(document, evaluated, ranking, short_circuited)
 
     def _finish(

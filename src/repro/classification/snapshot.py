@@ -2,9 +2,9 @@
 
 :class:`ClassifierSnapshot` holds everything a classification decision
 depends on — the DTD set, ``sigma``, the similarity and fast-path
-configuration, the tag matcher, and the shard map of a sharded engine —
-as one picklable value.  :meth:`repro.core.engine.XMLSource.snapshot_payload`
-pickles it once per changed state version and addresses the bytes by
+configuration, and the tag matcher — as one picklable value.
+:meth:`repro.core.engine.XMLSource.snapshot_payload` pickles it once
+per changed state version and addresses the bytes by
 :func:`snapshot_fingerprint`; serve readers unpickle it and classify
 against the rebuilt classifier without touching the engine.
 
@@ -24,7 +24,6 @@ import hashlib
 from typing import Iterable, Optional, Tuple
 
 from repro.classification.classifier import Classifier
-from repro.classification.sharding import ShardedClassifier, ShardMap
 from repro.dtd.dtd import DTD
 from repro.perf import FastPathConfig
 from repro.similarity.tags import TagMatcher
@@ -41,7 +40,7 @@ def snapshot_fingerprint(payload: bytes) -> str:
 class ClassifierSnapshot:
     """Immutable, picklable classification state of one engine version."""
 
-    __slots__ = ("dtds", "threshold", "config", "fastpath", "tag_matcher", "shards")
+    __slots__ = ("dtds", "threshold", "config", "fastpath", "tag_matcher")
 
     def __init__(
         self,
@@ -50,7 +49,6 @@ class ClassifierSnapshot:
         config: SimilarityConfig,
         fastpath: FastPathConfig,
         tag_matcher: Optional[TagMatcher] = None,
-        shards: Optional[ShardMap] = None,
     ):
         self.dtds: Tuple[DTD, ...] = tuple(dtds)
         self.threshold = threshold
@@ -58,40 +56,21 @@ class ClassifierSnapshot:
         self.fastpath = fastpath
         #: the engine's tag matcher (``None`` = exact tag equality)
         self.tag_matcher = tag_matcher
-        #: the engine's DTD shard map when it classifies sharded, so the
-        #: rebuilt classifier screens the same shards (``None`` rebuilds
-        #: a plain unsharded classifier)
-        self.shards = shards
 
     @classmethod
     def of(cls, source: "XMLSource") -> "ClassifierSnapshot":
         """Freeze ``source``'s current classification state."""
         classifier = source.classifier
-        shards = (
-            classifier.shard_map()
-            if isinstance(classifier, ShardedClassifier)
-            else None
-        )
         return cls(
             (classifier.dtd(name) for name in source.dtd_names()),
             classifier.threshold,
             source.similarity_config,
             source.fastpath,
             tag_matcher=source.tag_matcher,
-            shards=shards,
         )
 
     def build_classifier(self) -> Classifier:
         """Reconstruct a classifier equivalent to the frozen one."""
-        if self.shards is not None:
-            return ShardedClassifier(
-                self.dtds,
-                self.threshold,
-                self.config,
-                tag_matcher=self.tag_matcher,
-                fastpath=self.fastpath,
-                shard_map=self.shards,
-            )
         return Classifier(
             self.dtds,
             self.threshold,

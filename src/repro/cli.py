@@ -13,7 +13,7 @@ Subcommands::
         Infer a DTD from scratch (the XTRACT-style baseline).
 
     dtdevolve run --state state.json [--dtd schema.dtd] [--triggers rules.txt]
-                  [--store {memory,jsonl,sqlite}] [--sharded]
+                  [--store {memory,jsonl,sqlite}]
                   [--checkpoint-every N] [--no-fastpath] [--report-perf]
                   [--trace out.json] [--trace-jsonl out.jsonl]
                   [--metrics out.prom] docs...
@@ -33,7 +33,7 @@ Subcommands::
         exposition of counters and span-latency histograms.
 
     dtdevolve serve --state state.json [--dtd schema.dtd] [--host H --port P]
-                    [--store {memory,jsonl,sqlite}] [--sharded]
+                    [--store {memory,jsonl,sqlite}]
                     [--queue-limit N] [--max-inflight N] [--reader-threads N]
                     [--checkpoint-every N] [--duration S]
                     [--trace-sample RATE] [--trace-slow-ms MS]
@@ -144,11 +144,6 @@ def _grouped_perf_report(snapshot) -> dict:
         return hits / total if total else 0.0
 
     derived = {
-        "mined_rule_hit_rate": rate(
-            snapshot.get("mined_rule_hits", 0),
-            snapshot.get("mined_rule_hits", 0)
-            + snapshot.get("mined_rule_misses", 0),
-        ),
         "structural_cache_hit_rate": rate(
             snapshot.get("structural_cache_hits", 0),
             snapshot.get("structural_cache_hits", 0)
@@ -248,7 +243,6 @@ def _load_or_init_source(args: argparse.Namespace):
             triggers=triggers,
             fastpath=fastpath,
             store=args.store,
-            sharded=args.sharded,
         )
     if not args.dtd:
         print(
@@ -266,7 +260,6 @@ def _load_or_init_source(args: argparse.Namespace):
         triggers=triggers,
         fastpath=fastpath,
         store=args.store,
-        sharded=bool(args.sharded),
     )
 
 
@@ -408,14 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         "drains query instead of scan",
     )
     run.add_argument(
-        "--sharded",
-        action="store_true",
-        default=None,
-        help="classify against tag-vocabulary DTD shards (exact "
-        "fallback keeps results identical; default: what the snapshot "
-        "used, or unsharded)",
-    )
-    run.add_argument(
         "--checkpoint-every",
         type=int,
         default=0,
@@ -478,10 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store", choices=["memory", "jsonl", "sqlite"], default=None,
         help="repository backend (default: what the snapshot used, or memory)",
-    )
-    serve.add_argument(
-        "--sharded", action="store_true", default=None,
-        help="classify against tag-vocabulary DTD shards",
     )
     serve.add_argument(
         "--no-fastpath", action="store_true", dest="no_fastpath",

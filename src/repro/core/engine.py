@@ -38,14 +38,12 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.classification.classifier import ClassificationResult, Classifier
 from repro.classification.repository import Repository
-from repro.classification.sharding import ShardedClassifier
 from repro.classification.snapshot import ClassifierSnapshot, snapshot_fingerprint
 from repro.classification.stores import DocumentStore, make_store
 from repro.core.evolution import EvolutionConfig
 from repro.core.extended_dtd import ExtendedDTD
 from repro.core.recorder import Recorder
 from repro.dtd.dtd import DTD
-from repro.mining.memo import MinedRuleMemo
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.perf import FastPathConfig, PerfCounters
 from repro.pipeline.context import EvolutionEvent, ProcessOutcome
@@ -72,7 +70,6 @@ class XMLSource:
         fastpath: Optional[FastPathConfig] = None,
         store: Union[None, str, DocumentStore] = None,
         tracer: Optional[Tracer] = None,
-        sharded: bool = False,
     ):
         self.config = config
         self.similarity_config = SimilarityConfig(config.alpha, config.beta)
@@ -92,15 +89,7 @@ class XMLSource:
         #: :meth:`process_many`) to collect spans
         self.tracer = tracer or NULL_TRACER
         self.perf.set_span_sink(self.tracer)
-        #: engine-wide mined-rule memo shared by every evolution (all
-        #: DTDs); ``None`` when the fast path is off.  Not persisted —
-        #: a loaded source starts with a cold memo.
-        self.rule_memo = MinedRuleMemo() if self.fastpath.mined_rule_cache else None
-        #: classification screens DTD shards (tag-vocabulary clusters)
-        #: before ranking; exact fallback keeps results bit-identical
-        self.sharded = sharded
-        classifier_type = ShardedClassifier if sharded else Classifier
-        self.classifier = classifier_type(
+        self.classifier = Classifier(
             dtds,
             config.sigma,
             self.similarity_config,
@@ -145,9 +134,13 @@ class XMLSource:
         #: the staged Figure-1 loop this facade delegates to
         self.pipeline = Pipeline(self, self.events)
 
-    def _install(self, dtd: DTD) -> None:
+    def _install(self, dtd: DTD, extended: Optional[ExtendedDTD] = None) -> None:
+        """Start recording against ``dtd``: a fresh :class:`ExtendedDTD`,
+        or the restored ``extended`` (whose ``dtd`` it must be) when a
+        snapshot is loaded."""
         self._state_version += 1
-        extended = ExtendedDTD(dtd)
+        if extended is None:
+            extended = ExtendedDTD(dtd)
         self.extended[dtd.name] = extended
         # the recorder's matcher always matches tags exactly, but shares
         # the source's fast-path settings and counters so structural

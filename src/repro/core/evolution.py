@@ -21,27 +21,11 @@ enabled, declarations no content model references any more are removed
 The evolution phase reads only the extended DTD's aggregates — never
 the documents — which is the paper's central storage/time trade-off
 (verified by experiment E8).
-
-**Incremental evolution** (``FastPathConfig.incremental_evolution``):
-because the phase reads only aggregates, an element's outcome is a pure
-function of its declaration, its record's aggregates, and a handful of
-parameters.  Each evolution therefore stores a per-element
-:class:`_ElementMemo` (aggregate fingerprint, declaration key, config
-key, and the produced action); the next evolution *replays* the stored
-outcome for every element whose fingerprint still matches, skipping
-window classification, mining and ``build_structure`` entirely.  The
-one cross-element dependency — plus-label declarations dedup against
-what earlier elements already declared this round — is validated by a
-cheap dry-run traversal (:func:`plus_declaration_trace`) before a
-replay is trusted.  Replays are bit-identical to fresh computation
-(asserted by ``tests/test_evolution_incremental.py``); the path sits
-out whenever tag renames are in play, because renames rewrite the very
-records the fingerprints summarize.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from repro.core.extended_dtd import ElementRecord, ExtendedDTD
 from repro.core.restriction import restrict_operators
@@ -49,7 +33,6 @@ from repro.core.structure_builder import (
     _timed,
     build_plus_declarations,
     build_structure,
-    plus_declaration_trace,
 )
 from repro.core.windows import Window, classify_window
 from repro.dtd import content_model as cm
@@ -127,41 +110,6 @@ class ElementAction(NamedTuple):
         return f"ElementAction({self.name!r}, {window}, {self.action!r})"
 
 
-class _ElementMemo(NamedTuple):
-    """One element's evolution outcome, replayable next time.
-
-    Valid to replay only when fingerprint, declaration key and config
-    key all match *and* (for actions that declared plus labels) the
-    dry-run plus trace against the current ``known_names`` equals
-    ``plus_trace`` — see :func:`evolve_dtd`.  Stored trees are private
-    copies; replays copy them again, so no content model is ever shared
-    across DTD generations.
-    """
-
-    fingerprint: bytes
-    decl_key: tuple
-    config_key: tuple
-    window: Window
-    action: str
-    #: the produced content model (None for "kept" — the old one stays)
-    new_model: Optional[Tree]
-    #: names build_plus_declarations declared, in traversal order
-    plus_trace: Tuple[str, ...]
-    #: the (name, content model) pairs those declarations carried
-    plus_specs: Tuple[Tuple[str, Tree], ...]
-
-
-#: the EvolutionConfig fields a per-element outcome depends on
-def _memo_config_key(config: EvolutionConfig) -> tuple:
-    return (
-        config.psi,
-        config.mu,
-        config.restrict_in_old_window,
-        config.min_valid_for_restriction,
-        config.min_instances,
-    )
-
-
 class EvolutionResult:
     """The outcome of evolving one DTD."""
 
@@ -170,15 +118,10 @@ class EvolutionResult:
         old_dtd: DTD,
         new_dtd: DTD,
         actions: List[ElementAction],
-        element_memos: Optional[Dict[str, _ElementMemo]] = None,
     ):
         self.old_dtd = old_dtd
         self.new_dtd = new_dtd
         self.actions = actions
-        #: per-element memos for the *next* evolution (empty unless
-        #: incremental evolution was active); the engine parks them on
-        #: the fresh :class:`ExtendedDTD` it installs after adoption
-        self.element_memos: Dict[str, _ElementMemo] = element_memos or {}
 
     @property
     def changed(self) -> bool:
@@ -223,27 +166,22 @@ def evolve_dtd(
     config: EvolutionConfig = EvolutionConfig(),
     tag_matcher=None,
     rename_min_fraction: float = 0.5,
-    fastpath=None,
     counters=None,
-    rule_memo=None,
 ) -> EvolutionResult:
     """Run the evolution phase on one extended DTD.
 
     The input extended DTD is not modified; callers decide whether to
     adopt ``result.new_dtd`` (the engine does, and then resets the
-    recording structures) and whether to carry ``result.element_memos``
-    forward (the engine parks them on the fresh extended DTD so the
-    *next* evolution can replay unchanged elements).
+    recording structures).
 
     With a (thesaurus) ``tag_matcher``, tag *renames* are detected and
     applied as well — the Section 6 tag-evolution extension (see
     :mod:`repro.core.tag_evolution`); with the default exact matcher the
     feature is inert.
 
-    ``fastpath`` / ``counters`` / ``rule_memo`` activate the exact
-    evolution fast paths (dirty-element replay and mined-rule
-    memoization) and the phase timers; all default to off so standalone
-    calls behave exactly as before.
+    ``counters`` (a :class:`repro.perf.PerfCounters`) collects the
+    mine / build / rewrite / restrict phase timers; standalone calls
+    leave it off.
     """
     from repro.core.tag_evolution import (
         merge_renamed_evidence,
@@ -257,15 +195,6 @@ def evolve_dtd(
     known_names = set(old_dtd.element_names())
     renames = plan_tag_evolution(extended, tag_matcher, rename_min_fraction)
 
-    # renames rewrite the records the fingerprints summarize — the
-    # incremental path sits out for such rounds (mirroring how the
-    # classification fast paths disable themselves under a thesaurus)
-    use_memo = bool(
-        fastpath is not None and fastpath.incremental_evolution and not renames
-    )
-    config_key = _memo_config_key(config)
-    memos: Dict[str, _ElementMemo] = dict(extended.element_memos) if use_memo else {}
-
     for decl in old_dtd:
         record = extended.records.get(decl.name)
         if record is not None and renames:
@@ -275,50 +204,14 @@ def evolve_dtd(
                 ElementAction(decl.name, None, "kept", decl.content, decl.content)
             )
             continue
-        fingerprint = b""
-        decl_key: tuple = ()
-        if use_memo:
-            # computed before the handlers: policy queries lazily insert
-            # empty stat entries, so a post-handler fingerprint would
-            # not be reproducible
-            fingerprint = record.fingerprint()
-            decl_key = decl.content.to_tuple()
-            memo = memos.get(decl.name)
-            if (
-                memo is not None
-                and memo.fingerprint == fingerprint
-                and memo.decl_key == decl_key
-                and memo.config_key == config_key
-                and _replay_memo(memo, decl, record, new_dtd, known_names, actions)
-            ):
-                if counters is not None:
-                    counters.evolution_element_skips += 1
-                continue
         window = classify_window(record.invalidity_ratio, config.psi)
         if window is Window.OLD:
             action = _handle_old(decl, record, config, new_dtd, counters)
-            specs: Tuple[Tuple[str, Tree], ...] = ()
-            trace: Tuple[str, ...] = ()
         elif window is Window.NEW:
-            action, specs, trace = _handle_new(
-                decl, record, config, new_dtd, known_names, rule_memo, counters
-            )
+            action = _handle_new(decl, record, config, new_dtd, known_names, counters)
         else:
-            action, specs, trace = _handle_misc(
-                decl, record, config, new_dtd, known_names, rule_memo, counters
-            )
+            action = _handle_misc(decl, record, config, new_dtd, known_names, counters)
         actions.append(action)
-        if use_memo:
-            memos[decl.name] = _ElementMemo(
-                fingerprint,
-                decl_key,
-                config_key,
-                window,
-                action.action,
-                None if action.action == "kept" else action.new_model.copy(),
-                trace,
-                tuple((name, content.copy()) for name, content in specs),
-            )
 
     for old_name, new_name in rename_in_dtd(new_dtd, renames):
         actions.append(
@@ -333,42 +226,7 @@ def evolve_dtd(
     if config.prune_unreferenced:
         actions.extend(_prune_unreferenced(new_dtd))
 
-    return EvolutionResult(old_dtd, new_dtd, actions, memos if use_memo else {})
-
-
-def _replay_memo(
-    memo: _ElementMemo,
-    decl: ElementDecl,
-    record: ElementRecord,
-    new_dtd: DTD,
-    known_names: set,
-    actions: List[ElementAction],
-) -> bool:
-    """Apply a memoized element outcome; False if it cannot be trusted.
-
-    The caller verified fingerprint/declaration/config; what remains is
-    the cross-element dependency: plus-label declarations dedup against
-    ``known_names`` as mutated by *earlier* elements this round, so the
-    dry-run trace must reproduce the memoized one before the stored
-    specs may be installed.
-    """
-    if memo.action in ("rebuilt", "merged"):
-        trial = set(known_names)
-        if tuple(plus_declaration_trace(record, trial)) != memo.plus_trace:
-            return False
-    if memo.action == "kept":
-        new_model = decl.content
-    else:
-        new_model = memo.new_model.copy()
-        new_dtd.add(ElementDecl(decl.name, new_model), replace=True)
-    for name, content in memo.plus_specs:
-        if name not in new_dtd:
-            new_dtd.add(ElementDecl(name, content.copy()))
-    known_names.update(memo.plus_trace)
-    actions.append(
-        ElementAction(decl.name, memo.window, memo.action, decl.content, new_model)
-    )
-    return True
+    return EvolutionResult(old_dtd, new_dtd, actions)
 
 
 # ----------------------------------------------------------------------
@@ -405,30 +263,17 @@ def _handle_new(
     config: EvolutionConfig,
     new_dtd: DTD,
     known_names: set,
-    rule_memo=None,
     counters=None,
-) -> Tuple[ElementAction, tuple, tuple]:
+) -> ElementAction:
     """New window: rebuild the declaration from recorded evidence."""
     if record.invalid_count == 0:
         # a new window with no non-valid instance cannot arise (ratio 1
         # needs invalid instances) unless nothing was recorded; keep.
-        return (
-            ElementAction(decl.name, Window.NEW, "kept", decl.content, decl.content),
-            (),
-            (),
-        )
-    rebuilt = build_structure(
-        record, min_support=config.mu, rule_memo=rule_memo, counters=counters
-    )
+        return ElementAction(decl.name, Window.NEW, "kept", decl.content, decl.content)
+    rebuilt = build_structure(record, min_support=config.mu, counters=counters)
     new_dtd.add(ElementDecl(decl.name, rebuilt), replace=True)
-    specs, trace = _add_plus_declarations(
-        record, config, new_dtd, known_names, rule_memo, counters
-    )
-    return (
-        ElementAction(decl.name, Window.NEW, "rebuilt", decl.content, rebuilt),
-        specs,
-        trace,
-    )
+    _add_plus_declarations(record, config, new_dtd, known_names, counters)
+    return ElementAction(decl.name, Window.NEW, "rebuilt", decl.content, rebuilt)
 
 
 def _handle_misc(
@@ -437,38 +282,21 @@ def _handle_misc(
     config: EvolutionConfig,
     new_dtd: DTD,
     known_names: set,
-    rule_memo=None,
     counters=None,
-) -> Tuple[ElementAction, tuple, tuple]:
+) -> ElementAction:
     """Misc window: OR the old and the rebuilt declarations, simplify."""
     if record.invalid_count == 0:
-        return (
-            ElementAction(decl.name, Window.MISC, "kept", decl.content, decl.content),
-            (),
-            (),
-        )
-    rebuilt = build_structure(
-        record, min_support=config.mu, rule_memo=rule_memo, counters=counters
-    )
+        return ElementAction(decl.name, Window.MISC, "kept", decl.content, decl.content)
+    rebuilt = build_structure(record, min_support=config.mu, counters=counters)
     if rebuilt == decl.content:
-        return (
-            ElementAction(decl.name, Window.MISC, "kept", decl.content, decl.content),
-            (),
-            (),
-        )
+        return ElementAction(decl.name, Window.MISC, "kept", decl.content, decl.content)
     with _timed(counters, "evolve_rewrite_ns"):
         merged = normalize_mixed(
             simplify(Tree(cm.OR, [decl.content.copy(), rebuilt]))
         )
     new_dtd.add(ElementDecl(decl.name, merged), replace=True)
-    specs, trace = _add_plus_declarations(
-        record, config, new_dtd, known_names, rule_memo, counters
-    )
-    return (
-        ElementAction(decl.name, Window.MISC, "merged", decl.content, merged),
-        specs,
-        trace,
-    )
+    _add_plus_declarations(record, config, new_dtd, known_names, counters)
+    return ElementAction(decl.name, Window.MISC, "merged", decl.content, merged)
 
 
 def _add_plus_declarations(
@@ -476,21 +304,14 @@ def _add_plus_declarations(
     config: EvolutionConfig,
     new_dtd: DTD,
     known_names: set,
-    rule_memo=None,
     counters=None,
-) -> Tuple[tuple, tuple]:
-    """Add recursively inferred declarations for plus labels; returns
-    the ``(name, content)`` pairs and the name trace (memo fodder)."""
-    specs = build_plus_declarations(
-        record, config.mu, known_names, rule_memo=rule_memo, counters=counters
-    )
-    for spec in specs:
+) -> None:
+    """Add recursively inferred declarations for plus labels."""
+    for spec in build_plus_declarations(
+        record, config.mu, known_names, counters=counters
+    ):
         if spec.name not in new_dtd:
             new_dtd.add(ElementDecl(spec.name, spec.content))
-    return (
-        tuple((spec.name, spec.content) for spec in specs),
-        tuple(spec.name for spec in specs),
-    )
 
 
 def _evolve_attributes(

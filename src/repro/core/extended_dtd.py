@@ -33,7 +33,6 @@ Per declared element ``e``, an :class:`ElementRecord` keeps:
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -222,58 +221,6 @@ class ElementRecord:
             self.stats_for(label).instances_repeated <= observed for label in group
         )
 
-    def canonical(self) -> Tuple:
-        """A deterministic nested-tuple view of *every* aggregate.
-
-        Two records with equal canonical forms produce identical
-        evolution-phase output (window, mined rules, rebuilt model,
-        plus declarations, restriction): the evolution phase reads
-        nothing of a record beyond what is folded in here.  Unordered
-        containers (frozenset-keyed counters) are sorted; containers
-        whose insertion order the evolution phase observes (``labels``
-        first-seen ranks, ``plus_records`` traversal order) keep it.
-        """
-        return (
-            self.name,
-            self.valid_count,
-            self.documents_with_valid,
-            tuple(
-                (label, s.instances_with, s.min_occurrences, s.max_occurrences)
-                for label, s in sorted(self.valid_label_stats.items())
-            ),
-            self.invalid_count,
-            tuple(self.labels.items()),
-            tuple(
-                sorted((tuple(sorted(seq)), count)
-                       for seq, count in self.sequences.items())
-            ),
-            tuple(
-                (label, s.instances_with, s.instances_repeated,
-                 s.total_occurrences, s.max_occurrences)
-                for label, s in sorted(self.label_stats.items())
-            ),
-            tuple(
-                sorted((tuple(sorted(group)), count)
-                       for group, count in self.groups.items())
-            ),
-            tuple(
-                (label, nested.canonical())
-                for label, nested in self.plus_records.items()
-            ),
-            self.text_count,
-            self.empty_count,
-            tuple(sorted(self.attribute_counts.items())),
-            tuple(sorted(self.ordered_sequences.items())),
-        )
-
-    def fingerprint(self) -> bytes:
-        """A Merkle-style digest of :meth:`canonical` — the dirty bit of
-        incremental evolution: an element whose fingerprint matches the
-        one stored at the previous evolution replays that outcome."""
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(repr(self.canonical()).encode("utf-8"))
-        return digest.digest()
-
     def reset(self) -> None:
         """Forget everything (called after an evolution consumed it)."""
         self.__init__(self.name)
@@ -308,12 +255,6 @@ class ExtendedDTD:
         self.sum_invalid_fraction = 0.0
         #: total evolutions this extended DTD has gone through
         self.evolution_count = 0
-        #: per-element outcome memos from the previous evolution
-        #: (:class:`repro.core.evolution._ElementMemo`), carried across
-        #: recording periods by the engine so a later evolution can
-        #: replay unchanged elements; not persisted — rebuilt cold
-        #: after a snapshot load
-        self.element_memos: Dict[str, object] = {}
 
     @property
     def name(self) -> str:

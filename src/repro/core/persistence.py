@@ -9,12 +9,13 @@ JSON, and restores it into a fully working :class:`XMLSource`.
 The repository is read and restored through the
 :class:`~repro.classification.stores.DocumentStore` protocol: format 3
 snapshots tag which backend held the documents (``memory``, ``jsonl``
-or ``sqlite``) plus the index metadata of an indexed backend and the
-DTD shard map of a sharded classifier, and loading re-materialises into
-that backend (one bulk ``add_many``, re-indexing as it goes) unless the
-caller overrides it with ``store=`` / ``sharded=``.  Format 2 snapshots
-(no index/shard metadata) and format 1 snapshots (a plain document
-list) still load.
+or ``sqlite``) plus the index metadata of an indexed backend, and
+loading re-materialises into that backend (one bulk ``add_many``,
+re-indexing as it goes) unless the caller overrides it with
+``store=``.  Format 2 snapshots (no index metadata) and format 1
+snapshots (a plain document list) still load, and so do format-3
+snapshots that still carry the ``classifier`` section an earlier
+sharded classifier wrote (it is ignored).
 
 A snapshot copies each repository document's text from the store
 (:meth:`~repro.classification.repository.Repository.texts`) without
@@ -25,11 +26,7 @@ parse-and-serialize round trip byte for byte.  :func:`save_source`
 replaces the target file atomically.
 
 Runtime-only collaborators (trigger sets, tag matchers, fast-path
-configs) are *not* serialised; pass them again at load time.  The same
-goes for the incremental-evolution caches (per-element evolution memos
-and the mined-rule memo): a loaded source starts them cold and they are
-rebuilt — exactly — by the next evolution, so persistence never has to
-version fingerprint formats.
+configs) are *not* serialised; pass them again at load time.
 
 Round-trip guarantee (tested): saving and loading a source yields one
 whose next evolution produces exactly the same DTD as the original
@@ -43,7 +40,6 @@ import json
 import os
 from typing import Any, Dict, Tuple
 
-from repro.classification.sharding import ShardedClassifier
 from repro.classification.stores import store_kind
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
@@ -230,22 +226,12 @@ def source_to_json(source: XMLSource) -> Dict[str, Any]:
     The repository section records the backing store kind alongside the
     documents' canonical text (copied from the store, never re-parsed),
     plus the index description when the backend is indexed, so a
-    restored source lands on the same backend by default.  The
-    classifier section records whether the source classifies sharded
-    and the shard map at snapshot time — the map itself is advisory
-    metadata (a load re-derives the identical clustering
-    deterministically).
+    restored source lands on the same backend by default.
     """
     store = source.repository.store
     index_metadata = (
         store.index_metadata()
         if getattr(store, "supports_indexed_drain", False)
-        else None
-    )
-    classifier = source.classifier
-    shard_map = (
-        [list(shard) for shard in classifier.shard_map()]
-        if isinstance(classifier, ShardedClassifier)
         else None
     )
     return {
@@ -256,10 +242,6 @@ def source_to_json(source: XMLSource) -> Dict[str, Any]:
         "extended": [
             extended_to_json(source.extended[name]) for name in source.dtd_names()
         ],
-        "classifier": {
-            "sharded": source.sharded,
-            "shards": shard_map,
-        },
         "repository": {
             "store": store_kind(store),
             "index": index_metadata,
@@ -274,16 +256,13 @@ def source_from_json(
     triggers=None,
     fastpath=None,
     store=None,
-    sharded=None,
 ) -> XMLSource:
     """Restore a source snapshot (re-supply runtime collaborators).
 
     ``store`` overrides the snapshot's repository backend (a kind name
     or a :class:`~repro.classification.stores.DocumentStore` instance);
     left ``None``, format-2/3 snapshots restore into the backend they
-    were saved from and format-1 snapshots into memory.  ``sharded``
-    likewise overrides the snapshot's classifier mode (format 3; older
-    formats default to unsharded).
+    were saved from and format-1 snapshots into memory.
     """
     version = data.get("format")
     if version not in SUPPORTED_FORMATS:
@@ -295,7 +274,6 @@ def source_from_json(
     else:
         saved_kind = repository_data.get("store", "memory")
         documents = repository_data["documents"]
-    saved_sharded = bool(data.get("classifier", {}).get("sharded", False))
     config = config_from_json(data["config"])
     extended_list = [extended_from_json(entry) for entry in data["extended"]]
     source = XMLSource(
@@ -306,16 +284,10 @@ def source_from_json(
         triggers=triggers,
         fastpath=fastpath,
         store=store if store is not None else saved_kind,
-        sharded=saved_sharded if sharded is None else sharded,
     )
     for extended in extended_list:
-        source.extended[extended.name] = extended
         # recorders must write into the restored aggregates
-        from repro.core.recorder import Recorder
-
-        source.recorders[extended.name] = Recorder(
-            extended, source.similarity_config
-        )
+        source._install(extended.dtd, extended)
     source.documents_processed = data["documents_processed"]
     source.repository.add_many(parse_document(xml) for xml in documents)
     return source
@@ -374,10 +346,9 @@ def load_source(
     triggers=None,
     fastpath=None,
     store=None,
-    sharded=None,
 ) -> XMLSource:
     """Read a source snapshot from a JSON file (see
     :func:`source_from_json` for the keyword collaborators)."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    return source_from_json(data, tag_matcher, triggers, fastpath, store, sharded)
+    return source_from_json(data, tag_matcher, triggers, fastpath, store)

@@ -66,7 +66,6 @@ def build_structure(
     rules: Optional[RuleSet] = None,
     policies: Optional[List[Policy]] = None,
     apply_rewriting: bool = True,
-    rule_memo=None,
     counters=None,
 ) -> Tree:
     """Rebuild a content model from recorded evidence.
@@ -85,14 +84,10 @@ def build_structure(
         Policy list override (used by the ablation benchmarks).
     apply_rewriting:
         Run the simplification rules on the result (Section 4.1).
-    rule_memo:
-        A :class:`repro.mining.memo.MinedRuleMemo`; when given (and no
-        pre-mined ``rules``), mining goes through the memo so identical
-        transaction multisets are mined once engine-wide.
     counters:
         A :class:`repro.perf.PerfCounters`; phase wall-clock lands in
         the ``evolve_mine_ns`` / ``evolve_build_ns`` /
-        ``evolve_rewrite_ns`` timers and the memo hit counters.
+        ``evolve_rewrite_ns`` timers.
     """
     labels = record.ordered_labels()
     if not labels:
@@ -104,12 +99,7 @@ def build_structure(
 
     if rules is None:
         with _timed(counters, "evolve_mine_ns"):
-            if rule_memo is not None:
-                rules = rule_memo.mine(record, labels, min_support, counters)
-            else:
-                rules = mine_evolution_rules(
-                    record.sequence_list(), labels, min_support
-                )
+            rules = mine_evolution_rules(record.sequence_list(), labels, min_support)
     context = EvolutionContext(record, rules)
 
     with _timed(counters, "evolve_build_ns"):
@@ -234,7 +224,6 @@ def build_plus_declarations(
     record: ElementRecord,
     min_support: float = 0.0,
     known_names: Optional[set] = None,
-    rule_memo=None,
     counters=None,
 ) -> List["DeclSpec"]:
     """Infer declarations for the *plus* labels nested under a record.
@@ -243,11 +232,6 @@ def build_plus_declarations(
     considering as DTD an empty DTD, their actual structure can be
     extracted" (Example 5, tree (4)).  Returns one spec per plus label,
     depth-first, deduplicated against ``known_names``.
-
-    The spec *names*, in order, equal :func:`plus_declaration_trace`
-    over the same record and starting ``known_names`` — incremental
-    evolution relies on that correspondence to validate a memo replay
-    without rebuilding any structure.
     """
     known = known_names if known_names is not None else set()
     specs: List[DeclSpec] = []
@@ -256,39 +240,12 @@ def build_plus_declarations(
             continue
         known.add(label)
         specs.append(
-            DeclSpec(
-                label,
-                build_structure(
-                    nested, min_support, rule_memo=rule_memo, counters=counters
-                ),
-            )
+            DeclSpec(label, build_structure(nested, min_support, counters=counters))
         )
         specs.extend(
-            build_plus_declarations(
-                nested, min_support, known, rule_memo=rule_memo, counters=counters
-            )
+            build_plus_declarations(nested, min_support, known, counters=counters)
         )
     return specs
-
-
-def plus_declaration_trace(record: ElementRecord, known_names: set) -> List[str]:
-    """The names :func:`build_plus_declarations` *would* declare, in
-    order, given ``known_names`` — the same traversal without building
-    any content model (mutates ``known_names`` exactly the same way).
-
-    Incremental evolution runs this dry-run against the current
-    ``known_names`` and replays the memoized specs only when the trace
-    matches, because the declared set depends on what *earlier* elements
-    already declared this round.
-    """
-    trace: List[str] = []
-    for label, nested in record.plus_records.items():
-        if label in known_names:
-            continue
-        known_names.add(label)
-        trace.append(label)
-        trace.extend(plus_declaration_trace(nested, known_names))
-    return trace
 
 
 class DeclSpec:

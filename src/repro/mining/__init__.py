@@ -10,13 +10,8 @@ package implements that substrate from scratch:
 - :mod:`repro.mining.rules` — association rules with support and
   confidence (Example 3), rule generation, the :class:`RuleSet` the
   heuristic policies query, and the end-to-end
-  :func:`mine_evolution_rules` pipeline (steps 1–4 of Section 4.2);
-- :mod:`repro.mining.memo` — the :class:`MinedRuleMemo` LRU sharing
-  mined rule sets across elements, DTDs and evolutions (keyed by the
-  transaction-multiset fingerprint and ``mu``).
+  :func:`mine_evolution_rules` pipeline (steps 1–4 of Section 4.2).
 """
-
-from repro.mining.memo import MinedRuleMemo
 
 from repro.mining.transactions import (
     Literal,
@@ -26,7 +21,6 @@ from repro.mining.transactions import (
     filter_frequent_sequences,
 )
 from repro.mining.itemsets import apriori, itemset_support
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.rules import (
     AssociationRule,
     RuleSet,
@@ -41,11 +35,9 @@ __all__ = [
     "augment_with_absent",
     "filter_frequent_sequences",
     "apriori",
-    "fpgrowth",
     "itemset_support",
     "AssociationRule",
     "RuleSet",
     "generate_rules",
     "mine_evolution_rules",
-    "MinedRuleMemo",
 ]

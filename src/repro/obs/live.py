@@ -19,8 +19,7 @@ all-or-nothing and metrics are a post-hoc export.  This module is the
 - :class:`DriftMonitor` — evolution-drift health gauges and counters
   fed from the existing :class:`~repro.pipeline.events.EventBus`
   events: per-DTD classification/acceptance rates, repository misfit
-  count and sigma-window position, documents-since-evolution, per-shard
-  document counts.
+  count and sigma-window position, documents-since-evolution.
 
 Nothing here sits on an engine decision path: samplers observe request
 envelopes, the drift monitor observes bus events, and span collection
@@ -389,8 +388,8 @@ class DriftMonitor:
     Counters accumulate from events (per-DTD classified / accepted /
     recorded totals, deposits, recoveries, evolutions); gauges are
     re-pulled from engine state on :meth:`refresh` (activation scores,
-    recording-period sizes, repository misfit count, per-shard document
-    counts), which the serve layer calls on every ``/metrics`` scrape
+    recording-period sizes, repository misfit count), which the serve
+    layer calls on every ``/metrics`` scrape
     and ``/debug/health`` hit.  :meth:`summary` condenses the same
     signals into the JSON the health endpoint returns.
 
@@ -564,24 +563,6 @@ class DriftMonitor:
             instruments = self._dtd_instruments(name)
             instruments["activation"].set(extended.activation_score)
             instruments["recording"].set(extended.document_count)
-        shard_map = self._shard_map()
-        if shard_map is not None:
-            for index, shard in enumerate(shard_map):
-                self.registry.gauge(
-                    "repro_shard_documents",
-                    "documents classified into each DTD shard "
-                    "(sum of member-DTD classified totals)",
-                    shard=str(index),
-                ).set(
-                    sum(
-                        self._dtd_instruments(name)["classified"].value
-                        for name in shard
-                    )
-                )
-
-    def _shard_map(self):
-        shard_map = getattr(self.source.classifier, "shard_map", None)
-        return shard_map() if callable(shard_map) else None
 
     # ------------------------------------------------------------------
     # The health digest
@@ -627,7 +608,7 @@ class DriftMonitor:
                 "evolutions": extended.evolution_count,
             }
         deposit_digest = self._deposit_similarity.summary()
-        summary = {
+        return {
             "status": (
                 "evolution-pending"
                 if any(d["status"] == "evolution-pending" for d in dtds.values())
@@ -648,21 +629,6 @@ class DriftMonitor:
                 "docs_since_last": self.docs_since_evolution(),
             },
         }
-        shard_map = self._shard_map()
-        if shard_map is not None:
-            summary["shards"] = [
-                {
-                    "dtds": list(shard),
-                    "documents": int(
-                        sum(
-                            self._dtd_instruments(name)["classified"].value
-                            for name in shard
-                        )
-                    ),
-                }
-                for shard in shard_map
-            ]
-        return summary
 
     def __repr__(self) -> str:
         return (

@@ -17,20 +17,12 @@ path — see ``docs/API.md`` ("Performance architecture"):
   evaluates DTDs best-upper-bound-first and skips any DTD whose bound
   cannot beat the current best.
 
-The evolution phase has its own layered fast path (see ``docs/API.md``,
-"Incremental evolution"):
+After an evolution, the **pruned drain** (``.pruned_drain``) skips
+repository documents whose sound upper bound against the evolved DTD
+stays below ``sigma``, without constructing evaluations (see
+``docs/API.md``, "The pruned drain").
 
-- **dirty-element tracking** (``.incremental_evolution``): an element
-  whose recorded-aggregate fingerprint, declaration and parameters are
-  unchanged since the previous evolution replays its previous outcome;
-- **mined-rule memoization** (``.mined_rule_cache``): an LRU keyed by
-  the transaction-multiset fingerprint and ``mu`` shares
-  ``mine_evolution_rules`` output across elements, DTDs and evolutions;
-- **pruned drain** (``.pruned_drain``): after an evolution, repository
-  documents whose sound upper bound against the evolved DTD stays
-  below ``sigma`` are skipped without constructing evaluations.
-
-All tiers are semantics-preserving: similarities, classification
+All fast paths are semantics-preserving: similarities, classification
 decisions and evolved DTDs are bit-identical with the fast paths on or
 off (asserted by ``tests/test_fastpath.py`` and
 ``tests/test_evolution_incremental.py``).  :class:`PerfCounters` proves

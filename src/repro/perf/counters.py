@@ -20,9 +20,9 @@ class FastPathConfig(NamedTuple):
     Tiers 1 and 3 additionally disable themselves at runtime whenever a
     non-exact tag matcher (thesaurus) is installed or the similarity
     weights make the short-circuit unsound (``alpha``/``beta`` of 0),
-    so a config with everything on is always safe to use.  The
-    evolution-side paths likewise sit out whenever tag renames are in
-    play or the soundness preconditions of the drain bound fail.
+    so a config with everything on is always safe to use.  The pruned
+    drain likewise sits out whenever the soundness preconditions of the
+    drain bound fail.
 
     Parameters
     ----------
@@ -39,16 +39,6 @@ class FastPathConfig(NamedTuple):
         ``Classifier.classify`` and skip DTDs whose bound cannot beat
         the current best (the full exact ranking stays available — it
         is realized lazily on access).
-    incremental_evolution:
-        Dirty-element tracking in the evolution phase: elements whose
-        recorded aggregates fingerprint to the same value as at the
-        previous evolution (and whose declaration and parameters are
-        unchanged) replay the previous outcome instead of re-running
-        window classification, mining and ``build_structure``.
-    mined_rule_cache:
-        LRU memo over ``mine_evolution_rules`` keyed by the
-        transaction-multiset fingerprint and ``mu``, so identical
-        evidence across elements, DTDs and evolutions never re-mines.
     pruned_drain:
         After an evolution, skip repository documents whose sound
         vocabulary-overlap upper bound against the evolved DTD stays
@@ -61,8 +51,6 @@ class FastPathConfig(NamedTuple):
     validity_short_circuit: bool = True
     structural_cache: bool = True
     pruned_ranking: bool = True
-    incremental_evolution: bool = True
-    mined_rule_cache: bool = True
     pruned_drain: bool = True
     structural_cache_size: int = 4096
 
@@ -73,8 +61,6 @@ class FastPathConfig(NamedTuple):
             validity_short_circuit=False,
             structural_cache=False,
             pruned_ranking=False,
-            incremental_evolution=False,
-            mined_rule_cache=False,
             pruned_drain=False,
         )
 
@@ -107,13 +93,13 @@ COUNTER_NAMES = (
     "bound_skips",
     "dp_runs",
     "dp_cells",
+    # these three stay 0; the benchmark ledger still reads them
     "evolution_element_skips",
     "mined_rule_hits",
     "mined_rule_misses",
     "drain_prune_skips",
     "drain_index_hits",
     "index_rows",
-    "shard_skips",
     "snapshot_builds",
     "snapshot_reuses",
     "snapshot_bytes_total",
@@ -174,12 +160,9 @@ class PerfCounters:
         self.dp_runs = 0
         #: span-DP memo cells computed (the quadratic work unit)
         self.dp_cells = 0
-        #: elements that replayed their previous evolution outcome
-        #: (window classification, mining and build skipped)
+        #: always 0 (see COUNTER_NAMES)
         self.evolution_element_skips = 0
-        #: mined-rule memo hits (a whole mining run avoided)
         self.mined_rule_hits = 0
-        #: mined-rule memo misses (mining ran, rules interned)
         self.mined_rule_misses = 0
         #: repository documents skipped by the pruned post-evolution
         #: drain (provably still below sigma)
@@ -190,9 +173,6 @@ class PerfCounters:
         #: candidate rows returned by store index queries (the documents
         #: an indexed drain actually examined)
         self.index_rows = 0
-        #: DTD shards screened out before ranking (every member provably
-        #: scores 0.0 against the document)
-        self.shard_skips = 0
         #: classifier snapshots actually pickled (one per changed
         #: classification state)
         self.snapshot_builds = 0

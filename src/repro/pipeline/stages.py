@@ -229,17 +229,12 @@ class EvolveStage(_SourceStage):
                 extended,
                 config or source.config,
                 tag_matcher=source.tag_matcher,
-                fastpath=source.fastpath,
                 counters=source.perf,
-                rule_memo=source.rule_memo,
             )
         # adopt the evolved DTD and start a fresh recording period
         source.classifier.replace_dtd(result.new_dtd)
         source._install(result.new_dtd)
         source.extended[name].evolution_count = extended.evolution_count + 1
-        # carry the per-element memos across the recording reset so the
-        # *next* evolution can replay elements whose evidence is unchanged
-        source.extended[name].element_memos = result.element_memos
         self.pipeline.emit(
             EvolutionFinished(
                 name,

@@ -1,20 +1,19 @@
-"""Differential harness for incremental evolution and the pruned drain.
+"""Differential harness for evolution runs and the pruned drain.
 
 Every scenario runs twice through freshly built engines — once with the
-full fast-path config (dirty-element replay, mined-rule memo, pruned
-drain, plus the PR-1 classification tiers), once with
-``FastPathConfig.disabled()`` (the seed reference path) — and the two
-runs must be **bit-identical** in everything observable: per-document
-outcomes, full exact rankings, evaluation triples, repository contents,
-the evolution log, the final DTD serializations, and the lifecycle
-event sequence (the run fingerprinting of ``tests/differential_utils.py``).
-Scenarios include E12-style long runs with several evolutions and a
-run whose evolutions trigger mid-batch.
+full fast-path config (the classification tiers and the pruned drain),
+once with ``FastPathConfig.disabled()`` (the seed reference path) — and
+the two runs must be **bit-identical** in everything observable:
+per-document outcomes, full exact rankings, evaluation triples,
+repository contents, the evolution log, the final DTD serializations,
+and the lifecycle event sequence (the run fingerprinting of
+``tests/differential_utils.py``).  Scenarios include E12-style long runs
+with several evolutions and a run whose evolutions trigger mid-batch.
 
 Also here: the drain determinism regression (insertion order and
 recovered counts identical across ``MemoryStore`` and ``JsonlStore``,
-with and without pruning) and unit tests for the memo/fingerprint/timer
-machinery itself.
+with and without pruning) and unit tests for the phase timers and the
+pruned drain.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ import pytest
 from tests.differential_utils import COMPARED, multi_dtd_corpus, run_batch
 
 from repro.core.engine import XMLSource
-from repro.core.evolution import EvolutionConfig, evolve_dtd
+from repro.core.evolution import EvolutionConfig
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
-from repro.mining.memo import MinedRuleMemo
 from repro.perf import TIMER_NAMES, FastPathConfig, PerfCounters
 from repro.xmltree.serializer import serialize_document
 
@@ -36,7 +34,7 @@ REFERENCE = FastPathConfig.disabled()
 
 
 def assert_fast_slow_identical(build_source, documents):
-    """Incremental+pruned vs. the reference path: every artefact equal."""
+    """All fast paths vs. the reference path: every artefact equal."""
     fast = run_batch(lambda: build_source(FAST), documents)
     slow = run_batch(lambda: build_source(REFERENCE), documents)
     for key in COMPARED:
@@ -88,7 +86,7 @@ def test_differential_multi_dtd_corpus():
 
 
 def test_differential_mid_batch_evolution():
-    """The acceptance scenario: incremental+pruned with evolutions
+    """The acceptance scenario: the fast paths with evolutions
     triggering mid-batch, against the reference path — bit-identical
     artefacts end to end."""
     documents = figure3_workload(30, 30, seed=7)
@@ -104,10 +102,9 @@ def test_differential_mid_batch_evolution():
     assert fast["source"].evolution_count >= 1
 
 
-def test_differential_repeated_eras_replays_elements():
-    """Repeated identical evidence across recording periods: the second
-    evolution must replay unchanged elements (the warm path actually
-    fires) while staying bit-identical to the reference."""
+def test_differential_repeated_eras():
+    """Repeated identical evidence across recording periods: both
+    evolutions stay bit-identical to the reference."""
     documents = figure3_workload(12, 12, seed=5)
 
     def build(fastpath):
@@ -133,10 +130,6 @@ def test_differential_repeated_eras_replays_elements():
     assert [
         serialize_dtd(entry.result.new_dtd) for entry in fast.evolution_log
     ] == [serialize_dtd(entry.result.new_dtd) for entry in slow.evolution_log]
-    assert fast.perf.evolution_element_skips > 0
-    assert fast.perf.mined_rule_hits + fast.perf.mined_rule_misses > 0
-    assert slow.perf.evolution_element_skips == 0
-    assert slow.perf.mined_rule_hits == 0
 
 
 # ----------------------------------------------------------------------
@@ -184,93 +177,6 @@ def test_drain_order_and_counts_across_stores(store_kind, fastpath):
 # ----------------------------------------------------------------------
 # The machinery itself
 # ----------------------------------------------------------------------
-
-
-def _recorded_source(documents, **config):
-    source = XMLSource(
-        [figure3_dtd()],
-        EvolutionConfig(min_documents=10 ** 9, **config),
-    )
-    for document in documents:
-        source.process(document)
-    return source
-
-
-def test_evolve_dtd_replays_on_identical_evidence():
-    """Two evolve_dtd calls over the same aggregates: the second replays
-    every touched element and produces the identical DTD."""
-    source = _recorded_source(figure3_workload(8, 8, seed=21), sigma=0.2)
-    extended = source.extended["figure3"]
-    counters = PerfCounters()
-    memo = MinedRuleMemo()
-    first = evolve_dtd(
-        extended, source.config, fastpath=FAST, counters=counters, rule_memo=memo
-    )
-    assert counters.evolution_element_skips == 0
-    extended.element_memos = first.element_memos
-    second = evolve_dtd(
-        extended, source.config, fastpath=FAST, counters=counters, rule_memo=memo
-    )
-    assert serialize_dtd(second.new_dtd) == serialize_dtd(first.new_dtd)
-    assert [(a.name, a.action) for a in second.actions] == [
-        (a.name, a.action) for a in first.actions
-    ]
-    assert counters.evolution_element_skips > 0
-    # the reference path agrees bit for bit
-    reference = evolve_dtd(extended, source.config)
-    assert serialize_dtd(reference.new_dtd) == serialize_dtd(second.new_dtd)
-
-
-def test_memo_invalidated_by_new_evidence():
-    """Touching an element's aggregates flips its fingerprint: the next
-    evolution recomputes exactly that element and replays the rest."""
-    source = _recorded_source(figure3_workload(8, 8, seed=23), sigma=0.2)
-    extended = source.extended["figure3"]
-    counters = PerfCounters()
-    first = evolve_dtd(extended, source.config, fastpath=FAST, counters=counters)
-    extended.element_memos = first.element_memos
-    clean = evolve_dtd(extended, source.config, fastpath=FAST, counters=counters)
-    clean_skips = counters.evolution_element_skips
-    assert clean_skips > 0
-    # new evidence lands on one recorded element
-    dirty = next(
-        name for name, record in extended.records.items()
-        if record.instance_count > 0
-    )
-    before = extended.records[dirty].fingerprint()
-    extended.records[dirty].invalid_count += 1
-    assert extended.records[dirty].fingerprint() != before
-    extended.element_memos = clean.element_memos
-    counters.reset()
-    evolve_dtd(extended, source.config, fastpath=FAST, counters=counters)
-    assert counters.evolution_element_skips == clean_skips - 1
-
-
-def test_memo_invalidated_by_config_change():
-    source = _recorded_source(figure3_workload(8, 8, seed=25), sigma=0.2)
-    extended = source.extended["figure3"]
-    counters = PerfCounters()
-    first = evolve_dtd(extended, source.config, fastpath=FAST, counters=counters)
-    extended.element_memos = first.element_memos
-    changed = source.config._replace(psi=source.config.psi + 0.1)
-    evolve_dtd(extended, changed, fastpath=FAST, counters=counters)
-    assert counters.evolution_element_skips == 0
-
-
-def test_mined_rule_memo_shares_across_calls():
-    memo = MinedRuleMemo(max_entries=4)
-    source = _recorded_source(figure3_workload(6, 10, seed=27), sigma=0.2)
-    extended = source.extended["figure3"]
-    counters = PerfCounters()
-    evolve_dtd(extended, source.config, fastpath=FAST, counters=counters,
-               rule_memo=memo)
-    assert counters.mined_rule_misses == memo.misses > 0
-    evolve_dtd(extended, source.config, fastpath=REFERENCE, counters=counters,
-               rule_memo=memo)
-    # incremental replay off, but the rule memo still serves identical
-    # transaction multisets without re-mining
-    assert counters.mined_rule_hits == memo.hits > 0
-    assert len(memo) <= memo.max_entries
 
 
 def test_timers_accumulate_nest_and_reset():
@@ -351,20 +257,3 @@ def test_standalone_drain_never_prunes():
     before = source.perf.drain_prune_skips
     source._reclassify_repository()
     assert source.perf.drain_prune_skips == before
-
-
-def test_loaded_source_starts_cold_and_rebuilds_memos(tmp_path):
-    """Persistence round-trip: memos are not serialized; a loaded source
-    evolves bit-identically from a cold cache."""
-    from repro.core.persistence import load_source, save_source
-
-    source = _recorded_source(figure3_workload(8, 8, seed=37), sigma=0.2)
-    path = str(tmp_path / "state.json")
-    save_source(source, path)
-    loaded = load_source(path)
-    assert loaded.extended["figure3"].element_memos == {}
-    original = source.evolve_now("figure3")
-    reloaded = loaded.evolve_now("figure3")
-    assert serialize_dtd(original.result.new_dtd) == serialize_dtd(
-        reloaded.result.new_dtd
-    )

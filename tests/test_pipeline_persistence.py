@@ -176,7 +176,7 @@ class TestFormatVersions:
             "index": None,
             "documents": [],
         }
-        assert data["classifier"] == {"sharded": False, "shards": None}
+        assert "classifier" not in data
 
     def test_sqlite_snapshot_records_index_metadata(self):
         from repro.classification.stores import SqliteStore
@@ -200,30 +200,40 @@ class TestFormatVersions:
         finally:
             source.repository.store.close()
 
-    def test_sharded_snapshot_records_and_restores_shard_map(self):
-        from repro.classification.sharding import ShardedClassifier
+    def test_format_3_snapshot_with_a_classifier_section_still_loads(self):
+        """Format-3 snapshots written while a sharded classifier existed
+        carry a ``classifier`` section; one taken mid-stream restores
+        and finishes the stream exactly like the uninterrupted run."""
+        documents = _workload()
+        split = 10
 
-        source = _fresh_source(sharded=True)
-        data = source_to_json(source)
-        assert data["classifier"]["sharded"] is True
-        assert data["classifier"]["shards"] == [
-            list(shard) for shard in source.classifier.shard_map()
-        ]
-        restored = source_from_json(data)
-        assert isinstance(restored.classifier, ShardedClassifier)
-        assert restored.classifier.shard_map() == source.classifier.shard_map()
-        unsharded = source_from_json(data, sharded=False)
-        assert not isinstance(unsharded.classifier, ShardedClassifier)
+        def run(source, batch):
+            return [
+                (o.dtd_name, o.similarity, tuple(o.evolved), o.recovered)
+                for o in source.process_many([d.copy() for d in batch])
+            ]
+
+        uninterrupted = _fresh_source()
+        expected_outcomes = run(uninterrupted, documents)
+        interrupted = _fresh_source()
+        run(interrupted, documents[:split])
+        data = source_to_json(interrupted)
+        data["classifier"] = {"sharded": True, "shards": [["figure3"]]}
+        resumed = source_from_json(json.loads(json.dumps(data)))
+        assert run(resumed, documents[split:]) == expected_outcomes[split:]
+        expected = _state(uninterrupted)
+        # the resumed log holds exactly the post-snapshot continuation
+        del expected["evolution_log"][: len(interrupted.evolution_log)]
+        assert _state(resumed) == expected
 
     def test_v2_snapshot_still_loads(self):
-        """A format-2 snapshot (no index/classifier metadata) restores
-        into a working unsharded source."""
+        """A format-2 snapshot (no index metadata) restores into a
+        working source."""
         source = _fresh_source()
         source.process_many([d.copy() for d in _workload()[:4]])
         data = source_to_json(source)
         v2 = dict(data)
         v2["format"] = 2
-        del v2["classifier"]
         v2["repository"] = {
             "store": data["repository"]["store"],
             "documents": data["repository"]["documents"],
@@ -278,6 +288,38 @@ class TestFormatVersions:
         save_source(source, path)
         restored = load_source(path, fastpath=FastPathConfig.disabled())
         assert not restored.fastpath.validity_short_circuit
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+    def test_loaded_recorders_share_the_counters_and_fastpath(
+        self, tmp_path, fast
+    ):
+        """A loaded source's recorders use the source's counters and
+        fast-path config, as a fresh source's do: with a tag matcher
+        the record stage evaluates against the recorder's own matcher,
+        so the DP work it does must show in the same counters."""
+        from repro.perf import FastPathConfig
+        from repro.similarity.tags import ThesaurusTagMatcher
+
+        fastpath = FastPathConfig() if fast else FastPathConfig.disabled()
+        matcher = ThesaurusTagMatcher([{"b", "bb"}])
+        config = EvolutionConfig(sigma=0.3, min_documents=10 ** 9)
+        original = XMLSource(
+            [figure3_dtd()], config, tag_matcher=matcher, fastpath=fastpath
+        )
+        path = str(tmp_path / "empty.json")
+        save_source(original, path)
+        loaded = load_source(path, tag_matcher=matcher, fastpath=fastpath)
+
+        documents = figure3_workload(5, 30, seed=3)
+        runs = []
+        for source in (original, loaded):
+            outcomes = source.process_many([d.copy() for d in documents])
+            runs.append([(o.dtd_name, o.similarity) for o in outcomes])
+        assert runs[0] == runs[1]
+        keys = ("dp_runs", "dp_cells", "structural_cache_hits",
+                "structural_cache_misses")
+        expected = {key: original.perf_snapshot()[key] for key in keys}
+        assert {key: loaded.perf_snapshot()[key] for key in keys} == expected
 
 
 def _store_source(kind, tmp_path, **kwargs):

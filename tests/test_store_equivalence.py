@@ -1,11 +1,10 @@
-"""Store engine-equivalence and sharding differentials.
+"""Store engine-equivalence differentials.
 
 The acceptance bar of the indexed-store work: the full engine pipeline
 — classification, mid-batch evolution, the pruned post-evolution drain,
 save/load resume — produces bit-identical observable state (outcomes,
 rankings, evolution log, repository content *and order*) whichever
-backend holds the repository (memory scan, jsonl scan, sqlite indexed)
-and whether or not the classifier shards the DTD set.
+backend holds the repository (memory scan, jsonl scan, sqlite indexed).
 
 The CI store-matrix job narrows the backend parameterization with
 ``REPRO_STORE_KINDS``; locally all backends run.
@@ -18,7 +17,6 @@ import os
 import pytest
 
 from repro.classification.classifier import Classifier
-from repro.classification.sharding import ShardedClassifier
 from repro.classification.stores import SqliteStore
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
@@ -35,18 +33,13 @@ from tests.test_stores import selected_store_kinds
 _CONFIG = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
 
 STORE_KINDS = selected_store_kinds()
-MODES = [
-    pytest.param(kind, sharded, id=f"{kind}-{'sharded' if sharded else 'plain'}")
-    for kind in STORE_KINDS
-    for sharded in (False, True)
-]
 
 
-def _source(kind, tmp_path, sharded=False, fastpath=None, auto_evolve=True,
-            dtds=None, config=_CONFIG):
+def _source(kind, tmp_path, fastpath=None, auto_evolve=True, dtds=None,
+            config=_CONFIG):
     store = kind
     if kind in ("jsonl", "sqlite"):
-        store_path = str(tmp_path / f"repo-{sharded}.{kind}")
+        store_path = str(tmp_path / f"repo.{kind}")
         from repro.classification.stores import make_store
 
         store = make_store(kind, store_path)
@@ -56,7 +49,6 @@ def _source(kind, tmp_path, sharded=False, fastpath=None, auto_evolve=True,
         fastpath=fastpath,
         auto_evolve=auto_evolve,
         store=store,
-        sharded=sharded,
     )
 
 
@@ -126,34 +118,29 @@ def _drain_workload():
 
 
 class TestEngineEquivalenceAcrossBackends:
-    """Reference: memory, unsharded. Every (backend, sharded) mode must
-    match it bit for bit through a mid-batch evolution."""
+    """Reference: memory. Every backend must match it bit for bit
+    through a mid-batch evolution."""
 
-    @pytest.mark.parametrize("kind,sharded", MODES)
-    def test_full_workload_is_bit_identical(self, tmp_path, kind, sharded):
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_full_workload_is_bit_identical(self, tmp_path, kind):
         documents = figure3_workload(15, 15, seed=3)
         reference = _source("memory", tmp_path)
         expected = _run(reference, documents)
         _close(reference)
         assert len(expected["evolution_log"]) > 0  # the workload evolves
 
-        candidate = _source(kind, tmp_path, sharded=sharded)
+        candidate = _source(kind, tmp_path)
         actual = _run(candidate, documents)
         _close(candidate)
         assert actual == expected
 
-    @pytest.mark.parametrize("kind,sharded", MODES)
-    def test_drain_order_and_pruning_are_bit_identical(
-        self, tmp_path, kind, sharded
-    ):
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_drain_order_and_pruning_are_bit_identical(self, tmp_path, kind):
         filler, deep, recoverable, drift = _drain_workload()
         deposited = filler + recoverable + deep
 
-        def run(mode_kind, mode_sharded, subdir):
-            source = _source(
-                mode_kind, tmp_path / subdir, sharded=mode_sharded,
-                auto_evolve=False,
-            )
+        def run(mode_kind, subdir):
+            source = _source(mode_kind, tmp_path / subdir, auto_evolve=False)
             for document in deposited:
                 source.process(document.copy())
             assert len(source.repository) == len(deposited)
@@ -168,8 +155,8 @@ class TestEngineEquivalenceAcrossBackends:
 
         (tmp_path / "ref").mkdir()
         (tmp_path / "mode").mkdir()
-        expected, _ = run("memory", False, "ref")
-        actual, perf = run(kind, sharded, "mode")
+        expected, _ = run("memory", "ref")
+        actual, perf = run(kind, "mode")
         assert actual == expected
         recovered = expected["evolution_log"][-1][-1]
         assert recovered == len(recoverable)  # the drain recovered them
@@ -182,19 +169,17 @@ class TestEngineEquivalenceAcrossBackends:
             assert perf["index_rows"] == len(recoverable) + len(deep)
             assert perf["drain_prune_skips"] == len(filler)
 
-    @pytest.mark.parametrize("kind,sharded", MODES)
-    def test_matches_the_all_fastpaths_off_reference(
-        self, tmp_path, kind, sharded
-    ):
-        """The seed code path (no pruning, no indexing, no sharding)
-        pins every fast path at once."""
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_matches_the_all_fastpaths_off_reference(self, tmp_path, kind):
+        """The seed code path (no pruning, no indexing) pins every fast
+        path at once."""
         documents = figure3_workload(10, 10, seed=7)
         reference = _source(
             "memory", tmp_path, fastpath=FastPathConfig.disabled()
         )
         expected = _run(reference, documents)
         _close(reference)
-        candidate = _source(kind, tmp_path, sharded=sharded)
+        candidate = _source(kind, tmp_path)
         actual = _run(candidate, documents)
         _close(candidate)
         assert actual == expected
@@ -279,93 +264,6 @@ class TestSaveLoadResumeAcrossBackends:
         assert actual["repository"] == expected["repository"]
         assert actual["dtds"] == expected["dtds"]
         assert perf["drain_index_hits"] == 1
-
-
-class TestShardedClassifierDifferential:
-    """Sharded classification is observably identical to unsharded —
-    decision, similarity, and the realized full ranking."""
-
-    DTDS = [
-        "<!ELEMENT a (b, c)><!ELEMENT b (#PCDATA)><!ELEMENT c (#PCDATA)>",
-        "<!ELEMENT z (y+)><!ELEMENT y EMPTY>",
-        "<!ELEMENT m (n, o?)><!ELEMENT n EMPTY><!ELEMENT o (#PCDATA)>",
-        # overlaps the first cluster through tag c
-        "<!ELEMENT p (c*)><!ELEMENT c (#PCDATA)>",
-    ]
-
-    PROBES = [
-        "<a><b>x</b><c>y</c></a>",
-        "<z><y/><y/></z>",
-        "<m><n/></m>",
-        "<p><c>t</c></p>",
-        "<a><b>x</b><c>y</c><d/><d/></a>",
-        "<w><v/></w>",          # matches nothing anywhere
-        "<z><y/><extra/></z>",
-        "<m>stray text</m>",
-    ]
-
-    def _classifiers(self, threshold=0.4):
-        dtds = [
-            parse_dtd(text, name=f"D{index}")
-            for index, text in enumerate(self.DTDS)
-        ]
-        plain = Classifier(list(dtds), threshold=threshold)
-        sharded = ShardedClassifier(list(dtds), threshold=threshold)
-        return plain, sharded
-
-    def test_clusters_follow_vocabulary_overlap(self):
-        _, sharded = self._classifiers()
-        # D0 and D3 share tag c; D1 and D2 are disjoint singletons
-        assert sharded.shard_map() == (("D0", "D3"), ("D1",), ("D2",))
-
-    def test_classification_is_bit_identical(self):
-        plain, sharded = self._classifiers()
-        skips_before = sharded.counters.shard_skips
-        for xml in self.PROBES:
-            document = parse_document(xml)
-            expected = plain.classify(document)
-            actual = sharded.classify(document)
-            assert actual.dtd_name == expected.dtd_name
-            assert actual.similarity == expected.similarity
-            assert actual.accepted == expected.accepted
-            assert tuple(actual.ranking) == tuple(expected.ranking)
-        assert sharded.counters.shard_skips > skips_before
-
-    def test_zero_similarity_falls_back_to_the_full_path(self):
-        plain, sharded = self._classifiers(threshold=0.0)
-        # sigma 0 accepts even similarity 0; the zero tie must break on
-        # name across the FULL DTD set exactly like the unsharded path
-        document = parse_document("<w><v/></w>")
-        expected = plain.classify(document)
-        actual = sharded.classify(document)
-        assert actual.dtd_name == expected.dtd_name
-        assert actual.similarity == expected.similarity
-        assert tuple(actual.ranking) == tuple(expected.ranking)
-
-    def test_evolution_triggers_recluster(self):
-        _, sharded = self._classifiers()
-        # evolve D1 so its vocabulary now overlaps D2's
-        sharded.replace_dtd(
-            parse_dtd("<!ELEMENT z (y, n)><!ELEMENT y EMPTY>"
-                      "<!ELEMENT n EMPTY>", name="D1")
-        )
-        assert sharded.shard_map() == (("D0", "D3"), ("D1", "D2"))
-
-    def test_snapshot_shard_map_round_trips(self):
-        from repro.classification.snapshot import ClassifierSnapshot
-
-        dtds = [
-            parse_dtd(text, name=f"D{index}")
-            for index, text in enumerate(self.DTDS)
-        ]
-        sharded = ShardedClassifier(list(dtds), threshold=0.4)
-        snapshot = ClassifierSnapshot(
-            dtds, 0.4, sharded.config, sharded.fastpath,
-            shards=sharded.shard_map(),
-        )
-        rebuilt = snapshot.build_classifier()
-        assert isinstance(rebuilt, ShardedClassifier)
-        assert rebuilt.shard_map() == sharded.shard_map()
 
 
 class TestBoundRowAgreement:
