@@ -100,9 +100,7 @@ def _soak(source, documents, depositors, readers, read_seconds):
     lock = threading.Lock()
     stop_reading = threading.Event()
 
-    with ServiceRunner(
-        source, ServeConfig(queue_limit=QUEUE_LIMIT, reader_threads=max(2, readers))
-    ) as runner:
+    with ServiceRunner(source, ServeConfig(queue_limit=QUEUE_LIMIT)) as runner:
 
         def depositor():
             client = _Client(runner.port)

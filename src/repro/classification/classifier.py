@@ -263,6 +263,24 @@ class Classifier:
         self._validators[dtd.name] = Validator(dtd)
         self._bounds[dtd.name] = _BoundData(dtd)
 
+    def copy(self) -> "Classifier":
+        """A classifier that decides exactly as this one does, with its
+        own cold caches and its own :class:`PerfCounters`.
+
+        It shares this classifier's DTD objects, threshold, similarity
+        and fast-path configuration and tag matcher — everything a
+        decision depends on — so it stays exact only while nobody
+        mutates those DTDs.  The engine never does: an evolution
+        installs a new DTD object (DESIGN.md decision 6).
+        """
+        return Classifier(
+            self._dtds.values(),
+            self.threshold,
+            self.config,
+            self.tag_matcher,
+            fastpath=self.fastpath,
+        )
+
     def dtd_names(self) -> List[str]:
         return list(self._dtds)
 

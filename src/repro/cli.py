@@ -34,7 +34,7 @@ Subcommands::
 
     dtdevolve serve --state state.json [--dtd schema.dtd] [--host H --port P]
                     [--store {memory,jsonl,sqlite}]
-                    [--queue-limit N] [--max-inflight N] [--reader-threads N]
+                    [--queue-limit N] [--max-inflight N]
                     [--checkpoint-every N] [--duration S]
                     [--trace-sample RATE] [--trace-slow-ms MS]
                     [--trace-seed N] [--trace-sink PATH] [--log-json]
@@ -293,7 +293,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_limit=args.queue_limit,
         max_inflight=args.max_inflight,
-        reader_threads=args.reader_threads,
         checkpoint_path=args.state,
         checkpoint_every=args.checkpoint_every,
         trace_sample=args.trace_sample,
@@ -480,10 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-inflight", type=int, default=64, dest="max_inflight", metavar="N",
         help="max concurrently admitted requests (default 64)",
-    )
-    serve.add_argument(
-        "--reader-threads", type=int, default=4, dest="reader_threads", metavar="N",
-        help="reader pool size for /classify (default 4)",
     )
     serve.add_argument(
         "--checkpoint-every", type=int, default=0, dest="checkpoint_every", metavar="N",

@@ -32,13 +32,10 @@ Usage::
 
 from __future__ import annotations
 
-import pickle
-import time
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.classification.classifier import ClassificationResult, Classifier
 from repro.classification.repository import Repository
-from repro.classification.snapshot import ClassifierSnapshot, snapshot_fingerprint
 from repro.classification.stores import DocumentStore, make_store
 from repro.core.evolution import EvolutionConfig
 from repro.core.extended_dtd import ExtendedDTD
@@ -101,11 +98,8 @@ class XMLSource:
         self.recorders: Dict[str, Recorder] = {}
         #: bumped by every :meth:`_install` (initial DTDs, evolutions,
         #: repository mining) — the classification state's cheap version
-        #: stamp, keying the pickled-snapshot cache below
+        #: stamp, which serve's snapshot holder keys its publishes on
         self._state_version = 0
-        #: ``(state version, fingerprint, pickled snapshot)`` of the last
-        #: snapshot built, so an unchanged state skips re-pickling entirely
-        self._snapshot_cache: Optional[Tuple[int, str, bytes]] = None
         for name in self.classifier.dtd_names():
             self._install(self.classifier.dtd(name))
         #: unclassified documents, backed by the configured store
@@ -218,7 +212,7 @@ class XMLSource:
         self.perf.set_span_sink(self.tracer)
 
     # ------------------------------------------------------------------
-    # The classification snapshot (serve readers classify against it)
+    # The classification state version (serve publishes on it)
     # ------------------------------------------------------------------
 
     @property
@@ -229,34 +223,6 @@ class XMLSource:
         changes that could alter a classification decision do, which is
         exactly what the serve layer's MVCC holder keys on."""
         return self._state_version
-
-    def snapshot_payload(self) -> Tuple[str, bytes]:
-        """The current classification state, pickled and content-addressed.
-
-        Returns ``(fingerprint, payload)`` where ``payload`` is the
-        pickled :class:`~repro.classification.snapshot.ClassifierSnapshot`
-        and ``fingerprint`` its blake2b content address.  The bytes are
-        cached against :attr:`state_version` alone, so a caller whose
-        DTD set didn't change reuses the cached bytes without
-        re-pickling (``snapshot_reuses``) — installing or removing a
-        tracer changes nothing a classification depends on, and so
-        neither the bytes nor the fingerprint.
-        """
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == self._state_version:
-            self.perf.snapshot_reuses += 1
-            _, fingerprint, payload = cached
-        else:
-            start = time.perf_counter_ns()
-            payload = pickle.dumps(
-                ClassifierSnapshot.of(self), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            self.perf.snapshot_serialize_ns += time.perf_counter_ns() - start
-            fingerprint = snapshot_fingerprint(payload)
-            self.perf.snapshot_builds += 1
-            self.perf.snapshot_bytes_total += len(payload)
-            self._snapshot_cache = (self._state_version, fingerprint, payload)
-        return fingerprint, payload
 
     def close(self) -> None:
         """A no-op, so callers may release an engine uniformly (``with

@@ -68,9 +68,10 @@ class FastPathConfig(NamedTuple):
 #: wall-clock phase timers (integer nanoseconds); they live in the same
 #: snapshot/merge machinery as the counters, so event ``perf_delta``s
 #: carry them with no extra plumbing.
-#: ``snapshot_serialize_ns`` is accumulated directly by the engine's
-#: snapshot cache (not via :meth:`PerfCounters.timer`), so it never
-#: mirrors a ``phase.*`` span.
+#: ``snapshot_serialize_ns`` times serve's snapshot publishes (the
+#: fingerprint plus the classifier build) and is accumulated directly
+#: by :class:`repro.serve.holder.SnapshotHolder` (not via
+#: :meth:`PerfCounters.timer`), so it never mirrors a ``phase.*`` span.
 TIMER_NAMES = (
     "evolve_ns",
     "evolve_mine_ns",
@@ -100,9 +101,6 @@ COUNTER_NAMES = (
     "drain_prune_skips",
     "drain_index_hits",
     "index_rows",
-    "snapshot_builds",
-    "snapshot_reuses",
-    "snapshot_bytes_total",
     "ingest_batch_commits",
     "segments_compacted",
     "compaction_bytes_reclaimed",
@@ -173,13 +171,6 @@ class PerfCounters:
         #: candidate rows returned by store index queries (the documents
         #: an indexed drain actually examined)
         self.index_rows = 0
-        #: classifier snapshots actually pickled (one per changed
-        #: classification state)
-        self.snapshot_builds = 0
-        #: snapshot requests that reused the cached bytes unchanged
-        self.snapshot_reuses = 0
-        #: cumulative pickled-snapshot bytes across all builds
-        self.snapshot_bytes_total = 0
         #: store commits that covered a whole deposit batch (``add_many``
         #: or a ``bulk()`` window) instead of one document
         self.ingest_batch_commits = 0

@@ -2,25 +2,33 @@
 
 A :class:`SnapshotHolder` owns the service's reader-visible view of the
 engine.  Each published :class:`ServeSnapshot` is an immutable value —
-a serve-side epoch number, the engine's state version, the pickled
-:class:`~repro.classification.snapshot.ClassifierSnapshot` bytes with
-their content fingerprint, and the DTD names frozen at publish time.
-Readers obtain the current snapshot with one attribute read
-(:attr:`current`), which CPython makes atomic under the GIL: a reader
-either sees the old epoch or the new one, never a mixture.
+a serve-side epoch number, the engine's state version, a
+:class:`~repro.classification.classifier.Classifier` over the engine's
+installed DTD objects with the content fingerprint of that DTD set,
+and the DTD names frozen at publish time.  Readers obtain the current
+snapshot with one attribute read (:attr:`current`), which CPython makes
+atomic under the GIL: a reader either sees the old epoch or the new
+one, never a mixture.
 
-Publishing is the single writer's job.  :meth:`refresh_from` asks the
-engine for its (cached, content-addressed) snapshot payload and swaps a
-new version in **only when the fingerprint changed** — a deposit that
-evolved nothing re-uses the engine's pickle cache and publishes nothing,
-so unchanged epochs are free.  Versions are strictly monotone; the
-holder refuses to go backwards.
+Publishing is the single writer's job.  :meth:`refresh_from` compares
+the engine's :attr:`~repro.core.engine.XMLSource.state_version` with
+the current snapshot's and builds a new version **only when it
+differs** — a deposit that evolved nothing costs one integer compare
+and publishes nothing.  The snapshot's classifier shares the engine's
+DTD objects, which the engine never mutates (an evolution installs new
+ones), so a published epoch stays exact however the engine evolves
+afterwards.  Versions are strictly monotone; the holder refuses to go
+backwards.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import NamedTuple, Optional, Tuple
+
+from repro.classification.classifier import Classifier
+from repro.dtd.serializer import serialize_dtd
 
 __all__ = ["ServeSnapshot", "SnapshotHolder"]
 
@@ -33,18 +41,28 @@ class ServeSnapshot(NamedTuple):
     #: the engine's :attr:`~repro.core.engine.XMLSource.state_version`
     #: at publish time
     state_version: int
-    #: blake2b content address of ``payload``
+    #: blake2b content address of the DTD set and sigma
     fingerprint: str
-    #: the pickled :class:`~repro.classification.snapshot.ClassifierSnapshot`
-    #: — readers unpickle (at most once per fingerprint per thread) and
-    #: classify against the rebuilt frozen classifier
-    payload: bytes
+    #: the classifier readers use as is: the engine's DTD objects,
+    #: threshold, similarity config, tag matcher and fast-path config,
+    #: with its own caches and counters (see :meth:`Classifier.copy`)
+    classifier: Classifier
     #: the DTD names of this epoch, in classifier order
     dtd_names: Tuple[str, ...]
     #: the acceptance threshold of this epoch
     sigma: float
     #: wall-clock publish instant (``time.time()``), informational
     published_at: float
+
+
+def _fingerprint(classifier: Classifier) -> str:
+    """The content address of a classifier's DTD set and sigma: each
+    DTD's name, root and serialized declarations, in classifier order."""
+    digest = hashlib.blake2b(repr(classifier.threshold).encode(), digest_size=16)
+    for name in classifier.dtd_names():
+        dtd = classifier.dtd(name)
+        digest.update(f"\0{name}\0{dtd.root}\0{serialize_dtd(dtd)}".encode())
+    return digest.hexdigest()
 
 
 class SnapshotHolder:
@@ -58,7 +76,7 @@ class SnapshotHolder:
 
     def __init__(self) -> None:
         self._current: Optional[ServeSnapshot] = None
-        #: how many refreshes found the fingerprint unchanged (free)
+        #: how many refreshes found the state version unchanged (free)
         self.reuses = 0
         #: how many refreshes published a new version
         self.publishes = 0
@@ -78,27 +96,31 @@ class SnapshotHolder:
         return snapshot.version if snapshot is not None else 0
 
     def refresh_from(self, source: "XMLSource") -> ServeSnapshot:
-        """Publish the engine's current state if it changed.
+        """Publish the engine's current state if its version changed.
 
-        Keyed on the snapshot payload's content fingerprint: an engine
-        whose classification state is unchanged (the common case —
-        deposits and drains don't bump the state version, and the
-        engine's pickle cache hands the same bytes back) returns the
-        current snapshot without allocating anything.  Must only be
-        called from the single writer.
+        Keyed on :attr:`~repro.core.engine.XMLSource.state_version`:
+        deposits and drains do not bump it, and neither does installing
+        a tracer, so the common case returns the current snapshot
+        without allocating anything.  A publish builds the classifier
+        and fingerprint once, timed into the engine's
+        ``snapshot_serialize_ns``.  Must only be called from the single
+        writer.
         """
-        fingerprint, payload = source.snapshot_payload()
         current = self._current
-        if current is not None and current.fingerprint == fingerprint:
+        if current is not None and current.state_version == source.state_version:
             self.reuses += 1
             return current
+        start = time.perf_counter_ns()
+        classifier = source.classifier.copy()
+        fingerprint = _fingerprint(classifier)
+        source.perf.snapshot_serialize_ns += time.perf_counter_ns() - start
         snapshot = ServeSnapshot(
             version=(current.version if current is not None else 0) + 1,
             state_version=source.state_version,
             fingerprint=fingerprint,
-            payload=payload,
-            dtd_names=tuple(source.dtd_names()),
-            sigma=source.classifier.threshold,
+            classifier=classifier,
+            dtd_names=tuple(classifier.dtd_names()),
+            sigma=classifier.threshold,
             published_at=time.time(),
         )
         self.publish(snapshot)

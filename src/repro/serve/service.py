@@ -4,23 +4,25 @@ Concurrency model (DESIGN.md decision 13):
 
 - **Readers** (``POST /classify``) never touch the engine.  Each request
   grabs the current :class:`~repro.serve.holder.ServeSnapshot` with one
-  lock-free read, then classifies on a reader thread pool against a
-  frozen classifier rebuilt from the snapshot's pickled bytes (cached
-  per thread per fingerprint).  A reader that started under epoch *N* finishes under epoch
-  *N* even if an evolution publishes *N+1* mid-flight — snapshot
-  isolation, for free, from immutability.
+  lock-free read, then classifies on the one reader thread against the
+  snapshot's classifier, which stays warm for the whole epoch.  A
+  reader that started under epoch *N* finishes under epoch *N* even if
+  an evolution publishes *N+1* mid-flight — snapshot isolation, for
+  free, from immutability.  Classification is pure Python, so more
+  reader threads would only take turns on the GIL.
 - **Writers** (``POST /deposit``, ``/evolve``, ``/drain``) funnel
   through one bounded :class:`asyncio.Queue` into a single writer task
   backed by a one-thread executor.  Engine mutations therefore run
   strictly serially, in admission order — the same total order a batch
   ``process_many`` would impose — which is what makes served traffic
-  bit-identical to batch runs.  ``/deposit`` also accepts a
+  bit-identical to batch runs.  The event loop only checks a deposit's
+  JSON shape; the writer parses its XML, so a large body never stalls
+  the other endpoints.  ``/deposit`` also accepts a
   ``{"documents": [...]}`` batch: the whole batch is one queued op,
-  applied in order inside a single store bulk window (one flush/commit
-  for every below-sigma deposit it contains).  After every applied write the writer
-  refreshes the snapshot holder; the engine's content-addressed pickle
-  cache makes refreshes free unless an evolution actually changed the
-  DTD set.
+  parsed in full and then applied in order inside a single store bulk
+  window (one flush/commit for every below-sigma deposit it contains).
+  After every applied write the writer refreshes the snapshot holder,
+  which publishes only when the engine's state version moved.
 - **Admission control**: a full write queue (or too many in-flight
   requests) answers ``429`` with a ``Retry-After`` hint instead of
   queueing unboundedly; a service mid-shutdown answers ``503``.  An op
@@ -42,12 +44,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import pickle
-import threading
 import time
 import uuid
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -74,10 +73,6 @@ __all__ = ["ServeConfig", "ReproService"]
 
 logger = logging.getLogger("repro.serve")
 
-#: how many rebuilt classifiers each reader thread keeps (current epoch
-#: plus the one an in-flight request may still reference)
-_READER_CACHE_SIZE = 2
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -93,8 +88,6 @@ class ServeConfig:
     #: max requests admitted concurrently across all endpoints
     #: (healthz/metrics exempt); beyond it answers 429
     max_inflight: int = 64
-    #: reader thread pool size for ``/classify``
-    reader_threads: int = 4
     #: the ``Retry-After`` hint on 429 responses, integer seconds
     retry_after: int = 1
     #: where graceful shutdown (and periodic checkpoints) snapshot the
@@ -130,10 +123,19 @@ _trace_acc: "ContextVar[Optional[Dict[str, Any]]]" = ContextVar(
 )
 
 
+def _parse(xml: str) -> "Document":
+    """Writer-thread parse of a deposited body; a failure answers 400."""
+    try:
+        return parse_document(xml)
+    except Exception as error:
+        raise http.HttpError(400, f"unparsable document: {error}")
+
+
 class _WriteOp:
-    """One queued write: kind, parsed payload, and the future the HTTP
-    handler awaits — plus the correlation id that crosses the queue
-    boundary with the op and the tracing envelope of sampled ops."""
+    """One queued write: kind, payload (XML text for deposits, parsed by
+    the writer), and the future the HTTP handler awaits — plus the
+    correlation id that crosses the queue boundary with the op and the
+    tracing envelope of sampled ops."""
 
     __slots__ = (
         "kind", "payload", "future",
@@ -212,7 +214,6 @@ class ReproService:
         self._writer_task: Optional["asyncio.Task"] = None
         self._writer_executor: Optional[ThreadPoolExecutor] = None
         self._reader_executor: Optional[ThreadPoolExecutor] = None
-        self._reader_local = threading.local()
         self._connections: set = set()
         self._closing = False
         self._inflight = 0
@@ -270,8 +271,7 @@ class ReproService:
             max_workers=1, thread_name_prefix="repro-serve-writer"
         )
         self._reader_executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.reader_threads),
-            thread_name_prefix="repro-serve-reader",
+            max_workers=1, thread_name_prefix="repro-serve-reader"
         )
         # the engine announces classification results and evolutions on
         # its bus; the writer thread is the only emitter, so these
@@ -557,29 +557,10 @@ class ReproService:
     # Read path
     # ------------------------------------------------------------------
 
-    def _classifier_for(self, snapshot: ServeSnapshot):
-        """The calling reader thread's classifier for this snapshot
-        (rebuilt from the pickled bytes at most once per fingerprint per
-        thread, small LRU)."""
-        cache = getattr(self._reader_local, "classifiers", None)
-        if cache is None:
-            cache = OrderedDict()
-            self._reader_local.classifiers = cache
-        classifier = cache.get(snapshot.fingerprint)
-        if classifier is None:
-            classifier = pickle.loads(snapshot.payload).build_classifier()
-            cache[snapshot.fingerprint] = classifier
-            while len(cache) > _READER_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(snapshot.fingerprint)
-        return classifier
-
     def _classify_against(self, snapshot: ServeSnapshot, xml: str) -> Dict[str, Any]:
-        """Reader-thread body: parse, classify against the frozen epoch,
-        stamp the response with that epoch's version."""
-        document = parse_document(xml)
-        result = self._classifier_for(snapshot).classify(document)
+        """Reader-thread body: parse, classify against the epoch's
+        classifier, stamp the response with that epoch's version."""
+        result = snapshot.classifier.classify(parse_document(xml))
         return {
             "snapshot_version": snapshot.version,
             "fingerprint": snapshot.fingerprint,
@@ -668,9 +649,11 @@ class ReproService:
         boundary with the op, not the thread.  Head-sampled ops run with
         a :class:`SpanCollector` installed on the engine, restored to
         the previous tracer once the op is applied.  The snapshot
-        refresh does not depend on that ordering: the engine's snapshot
-        payload is keyed on its state version alone, so a sampled op
-        that evolved nothing republishes nothing either way.
+        refresh does not depend on that ordering: the holder publishes
+        on the engine's state version alone, so a sampled op that
+        evolved nothing republishes nothing either way.  An op that
+        raises (a deposit whose XML does not parse) applies nothing and
+        does not advance ``applied_index``.
         """
         apply_start = time.perf_counter_ns()
         op.phases.append(("queue.wait", op.enqueued_ns, apply_start, {}))
@@ -701,7 +684,7 @@ class ReproService:
     def _apply_write_op(self, op: _WriteOp) -> Dict[str, Any]:
         source = self.source
         if op.kind == "deposit":
-            outcome = source.process(op.payload)
+            outcome = source.process(_parse(op.payload))
             result = outcome.as_json()
             classification = self._last_classification
             if classification is not None:
@@ -713,10 +696,13 @@ class ReproService:
             self._maybe_checkpoint(1)
         elif op.kind == "deposit_many":
             # one writer turn, one store bulk window: every below-sigma
-            # deposit in the batch shares a single flush/commit
+            # deposit in the batch shares a single flush/commit.  The
+            # whole batch parses before the window opens, so a bad
+            # document rejects it with nothing applied
+            documents = [_parse(xml) for xml in op.payload]
             outcomes = []
             with source.repository.bulk():
-                for document in op.payload:
+                for document in documents:
                     outcomes.append(source.process(document).as_json())
                     self._deposit_counter.inc()
             result = {"deposited": len(outcomes), "outcomes": outcomes}
@@ -757,18 +743,9 @@ class ReproService:
                     'expected a JSON body like'
                     ' {"documents": ["<a>...</a>", ...]}',
                 )
-            try:
-                documents = [parse_document(xml) for xml in batch]
-            except Exception as error:
-                raise http.HttpError(400, f"unparsable document: {error}")
-            body = await self._submit_write("deposit_many", documents)
+            body = await self._submit_write("deposit_many", batch)
         else:
-            xml = self._xml_field(payload)
-            try:
-                document = parse_document(xml)
-            except Exception as error:
-                raise http.HttpError(400, f"unparsable document: {error}")
-            body = await self._submit_write("deposit", document)
+            body = await self._submit_write("deposit", self._xml_field(payload))
         return 200, http.json_response(200, body, keep_alive=keep_alive)
 
     async def _handle_evolve(self, request, keep_alive) -> Tuple[int, bytes]:
@@ -887,7 +864,6 @@ class ReproService:
                 "reuses": self.holder.reuses,
                 "dtd_names": list(snapshot.dtd_names),
             },
-            "reader_threads": self.config.reader_threads,
             "sampler": self.sampler.stats(),
             "ring": {
                 "size": len(self.ring),

@@ -4,12 +4,15 @@ Four properties, each probed over real sockets with racing threads:
 
 1. **Snapshot isolation** — a classify response reflects exactly one
    published epoch, never a mix of DTD versions, and carries that
-   epoch's version stamp.
+   epoch's version stamp; a held epoch ranks exactly as it did at
+   publish time however the engine evolves afterwards.
 2. **Writer serialization** — racing deposits apply in *some* strict
    total order: every response's ``applied_index`` is unique and the
    set is contiguous.
 3. **Backpressure** — a full write queue answers 429 with a
-   ``Retry-After`` hint instead of queueing unboundedly.
+   ``Retry-After`` hint instead of queueing unboundedly, and a deposit
+   whose body is still being parsed (on the writer) never stalls the
+   other endpoints.
 4. **Graceful shutdown** — every *accepted* write completes before the
    service stops, the final checkpoint reflects it, and a disk-backed
    store survives for crash-resume.
@@ -27,6 +30,7 @@ the ``store_kind()`` unknown-backend ``RuntimeWarning``.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -68,7 +72,7 @@ def test_classify_sees_exactly_one_epoch():
     stamp identifies which."""
     source = figure3_source(auto_evolve=False)
     try:
-        with ServiceRunner(source, ServeConfig(reader_threads=4)) as runner:
+        with ServiceRunner(source, ServeConfig()) as runner:
             setup = ServeClient(runner.port)
             for doc in [
                 "<a><b>x</b><c>y</c><d>z</d></a>",
@@ -131,6 +135,103 @@ def test_classify_sees_exactly_one_epoch():
         }
     finally:
         source.close()
+
+
+def test_a_published_snapshot_survives_later_evolutions():
+    """Readers share the engine's DTD objects, so snapshot isolation
+    rests on the engine never mutating an installed DTD.  While a reader
+    thread classifies against a held snapshot, evolutions that rename a
+    tag (thesaurus matcher) and add a declaration run on the engine; the
+    reader sees the recorded ranking every time, and afterwards the held
+    snapshot still serializes and ranks exactly as it did at publish
+    time — and as a classifier built from its recorded DTD text does."""
+    from repro.classification.classifier import Classifier
+    from repro.core.engine import XMLSource
+    from repro.core.evolution import EvolutionConfig
+    from repro.dtd.parser import parse_dtd
+    from repro.dtd.serializer import serialize_dtd
+    from repro.serve import SnapshotHolder
+    from repro.similarity.tags import ThesaurusTagMatcher
+    from repro.xmltree.parser import parse_document
+
+    # no document records against review, so evolution keeps its
+    # declaration as is; the author -> writer rename must rewrite the
+    # evolved copy of it, never the installed one
+    book = parse_dtd(
+        "<!ELEMENT book (title, author, price?)>"
+        "<!ELEMENT title (#PCDATA)><!ELEMENT author (#PCDATA)>"
+        "<!ELEMENT price (#PCDATA)><!ELEMENT review (author, price)>",
+        name="book",
+    )
+    note = parse_dtd(
+        "<!ELEMENT note (to, body)>"
+        "<!ELEMENT to (#PCDATA)><!ELEMENT body (#PCDATA)>",
+        name="note",
+    )
+    source = XMLSource(
+        [book, note],
+        EvolutionConfig(sigma=0.3, tau=0.05, psi=0.2, min_documents=10),
+        tag_matcher=ThesaurusTagMatcher([{"author", "writer"}]),
+    )
+    probe = "<book><title>t</title><author>a</author><to>x</to></book>"
+
+    def dtd_texts(snapshot):
+        return [
+            (name, snapshot.classifier.dtd(name).root,
+             serialize_dtd(snapshot.classifier.dtd(name)))
+            for name in snapshot.dtd_names
+        ]
+
+    holder = SnapshotHolder()
+    held = holder.refresh_from(source)
+    recorded = dtd_texts(held)
+    ranking = held.classifier.classify(parse_document(probe)).ranking
+
+    renamed = "<book><title>t</title><writer>w</writer><price>9</price></book>"
+    grown = (
+        "<book><title>t</title><writer>w</writer><price>9</price>"
+        "<isbn>1</isbn></book>"
+    )
+    seen = []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            seen.append(held.classifier.classify(parse_document(probe)).ranking)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        for xml in [renamed] * 12 + [grown] * 12:
+            source.process(parse_document(xml))
+        source.evolve_now("note")
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert seen and all(ranking_seen == ranking for ranking_seen in seen)
+    # the engine really moved on: a rename, a new declaration, and a
+    # newly published epoch that ranks the probe differently
+    assert source.evolution_count >= 3
+    assert "writer" in source.dtd("book") and "author" not in source.dtd("book")
+    assert "isbn" in source.dtd("book")
+    latest = holder.refresh_from(source)
+    assert latest is not held and latest.fingerprint != held.fingerprint
+    assert latest.classifier.classify(parse_document(probe)).ranking != ranking
+
+    assert dtd_texts(held) == recorded
+    assert held.classifier.classify(parse_document(probe)).ranking == ranking
+    rebuilt = Classifier(
+        [parse_dtd(text, name=name, root=root) for name, root, text in recorded],
+        held.sigma,
+        source.similarity_config,
+        source.tag_matcher,
+        fastpath=source.fastpath,
+    )
+    assert rebuilt.classify(parse_document(probe)).ranking == ranking
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +337,57 @@ def test_full_write_queue_answers_429_with_retry_after():
             probe.close()
             assert statuses == [200] * queue_limit
         assert source.documents_processed == queue_limit
+    finally:
+        source.close()
+
+
+def test_deposit_parse_never_blocks_the_event_loop(monkeypatch):
+    """The writer, not the event loop, parses deposit bodies: while one
+    deposit is held inside its parse, /healthz and /classify still
+    answer promptly, and the deposit applies once the parse finishes."""
+    import repro.serve.service as service_module
+
+    entered = threading.Event()
+    release = threading.Event()
+    real_parse = service_module.parse_document
+
+    def gated_parse(xml):
+        if "gated" in xml:
+            entered.set()
+            release.wait(timeout=30)
+        return real_parse(xml)
+
+    monkeypatch.setattr(service_module, "parse_document", gated_parse)
+    source = figure3_source()
+    try:
+        with ServiceRunner(source, ServeConfig()) as runner:
+            responses = []
+
+            def deposit():
+                client = ServeClient(runner.port)
+                try:
+                    responses.append(
+                        client.post("/deposit", {"xml": "<gated><x>1</x></gated>"})
+                    )
+                finally:
+                    client.close()
+
+            thread = threading.Thread(target=deposit)
+            thread.start()
+            try:
+                assert entered.wait(timeout=10)
+                probe = ServeClient(runner.port, timeout=2.0)
+                try:
+                    status, _, health = probe.get("/healthz")
+                    assert status == 200 and health["queue_depth"] == 1
+                    assert probe.post("/classify", {"xml": PROBE})[0] == 200
+                finally:
+                    probe.close()
+            finally:
+                release.set()
+                thread.join(timeout=30)
+        [(status, _, body)] = responses
+        assert status == 200 and body["applied_index"] == 1
     finally:
         source.close()
 
@@ -400,9 +552,7 @@ def test_debug_endpoints_keep_their_schemas_under_concurrent_load():
     ring's span trees reference request ids that real responses
     returned in ``X-Request-Id``."""
     source = figure3_source()
-    config = ServeConfig(
-        reader_threads=2, trace_sample=1.0, trace_seed=7, trace_ring=64
-    )
+    config = ServeConfig(trace_sample=1.0, trace_seed=7, trace_ring=64)
     seen_ids = set()
     ids_lock = threading.Lock()
     errors = []

@@ -303,20 +303,50 @@ def test_sampling_never_perturbs_outcomes(tmp_path):
 
 def test_snapshot_fingerprint_ignores_tracing():
     """Installing a tracer changes nothing a classification depends on,
-    so the engine's snapshot keeps one fingerprint (and one pickle)
-    across untraced, traced and untraced again."""
+    so the holder keeps one snapshot (one publish, one fingerprint)
+    across untraced, traced and untraced again refreshes."""
     from repro.obs.tracing import Tracer
+    from repro.serve import SnapshotHolder
 
     source = figure3_source()
-    untraced, _ = source.snapshot_payload()
+    holder = SnapshotHolder()
+    untraced = holder.refresh_from(source)
     source.set_tracer(Tracer())
-    traced, _ = source.snapshot_payload()
+    traced = holder.refresh_from(source)
+    # a holder publishing while traced computes the same content address
+    assert SnapshotHolder().refresh_from(source).fingerprint == untraced.fingerprint
     source.set_tracer(None)
-    again, _ = source.snapshot_payload()
-    assert untraced == traced == again
-    perf = source.perf_snapshot()
-    assert perf["snapshot_builds"] == 1
-    assert perf["snapshot_reuses"] == 2
+    again = holder.refresh_from(source)
+    assert untraced is traced is again
+    assert holder.publishes == 1
+    assert holder.reuses == 2
+
+
+def test_an_evolution_that_changed_nothing_leaves_no_version_lag():
+    """A forced evolution that changes no declaration still installs a
+    new DTD object and bumps the engine's state version.  Serve
+    publishes a new version for it, with an unchanged fingerprint, so
+    /debug/health never reports readers as stale."""
+    source = figure3_source(auto_evolve=False)
+    try:
+        with ServiceRunner(source, ServeConfig()) as runner:
+            client = ServeClient(runner.port)
+            try:
+                _, _, before = client.get("/healthz")
+                status, _, evolved = client.post("/evolve", {"dtd": "figure3"})
+                assert status == 200 and evolved["changed"] == []
+                status, _, health = client.get("/debug/health")
+                assert status == 200
+                assert health["snapshot"]["version_lag"] == 0
+                _, _, metrics = client.get("/metrics")
+                assert "\nrepro_serve_snapshot_version_lag 0\n" in metrics
+                _, _, after = client.get("/healthz")
+            finally:
+                client.close()
+        assert after["snapshot_version"] == before["snapshot_version"] + 1
+        assert after["fingerprint"] == before["fingerprint"]
+    finally:
+        source.close()
 
 
 def test_served_classify_honours_the_tag_matcher():

@@ -82,9 +82,7 @@ def test_serve_soak_mixed_traffic():
     stop_reading = threading.Event()
 
     try:
-        with ServiceRunner(
-            source, ServeConfig(queue_limit=QUEUE_LIMIT, reader_threads=4)
-        ) as runner:
+        with ServiceRunner(source, ServeConfig(queue_limit=QUEUE_LIMIT)) as runner:
 
             def depositor():
                 client = ServeClient(runner.port, timeout=60)
