@@ -17,13 +17,12 @@ rooted, and the traced/untraced ratio stays under 2x (the decision-10
 per-span-name latency histogram summaries in the JSON.  A
 ``store_scale`` section then times the
 pruned post-evolution drain at growing repository sizes against every
-document-store backend (memory, jsonl, sqlite), asserts the recovered
+document-store backend (memory, sqlite), asserts the recovered
 documents agree everywhere and that sqlite took the indexed path, and
-records per-size drain latencies — the scan backends are linear in
+records per-size drain latencies — the memory scan is linear in
 repository size, the sqlite index query is sub-linear — plus an
-``ingestion`` subsection comparing per-row commits against one
-``add_many`` batch per backend (the sqlite batch must win by at least
-5x).  The JSON carries ``schema_version`` 2 and a ``run_metadata``
+``ingestion`` subsection comparing sqlite's per-row commits against one
+``add_many`` batch (the batch must win by at least 5x).  The JSON carries ``schema_version`` 2 and a ``run_metadata``
 block (python, platform, cpu_count, commit).
 """
 
@@ -326,10 +325,8 @@ def _store_scale_run(kind, size, tmp_dir):
     from repro.core.evolution import EvolutionConfig
 
     store = kind
-    if kind in ("jsonl", "sqlite"):
-        store = make_store(
-            kind, os.path.join(tmp_dir, f"scale-{size}.{kind}")
-        )
+    if kind == "sqlite":
+        store = make_store(kind, os.path.join(tmp_dir, f"scale-{size}.sqlite"))
     source = XMLSource(
         [figure3_dtd()],
         EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5),
@@ -365,9 +362,9 @@ def _store_scale_compare(sizes):
     """Drain latency vs repository size per backend.
 
     Every backend must recover the same documents at every size (the
-    engine-equivalence invariant, re-checked at scale).  The scan
-    backends walk — and for jsonl, re-parse — every deposited document,
-    so their drain latency is linear in repository size; the sqlite
+    engine-equivalence invariant, re-checked at scale).  The memory
+    scan walks every deposited document, so its drain latency is
+    linear in repository size; the sqlite
     indexed drain asks the inverted tag index for the candidate set,
     which stays constant here, so its latency must grow sub-linearly.
     """
@@ -411,13 +408,11 @@ def _store_ingest_compare(count):
     The sqlite backend must show the write-path win that justifies the
     ``add_many`` contract — one transaction for the whole batch beats a
     commit per insert by at least 5x on tiny documents (the commit is
-    the fixed cost the batch amortizes).  The jsonl numbers (flush per
-    add vs one bulk flush) are recorded without a gate: appends are
-    cheap enough that the win is real but modest.
+    the fixed cost the batch amortizes).
     """
     import tempfile
 
-    from repro.classification.stores import JsonlStore, SqliteStore
+    from repro.classification.stores import SqliteStore
 
     documents = [parse_document("<a><b/></a>") for _ in range(count)]
     entry = {"documents": count}
@@ -440,23 +435,6 @@ def _store_ingest_compare(count):
             "per_row_commit_seconds": per_row,
             "add_many_seconds": batched,
             "speedup": sqlite_speedup,
-        }
-
-        slow = JsonlStore(os.path.join(tmp_dir, "perrow.jsonl"))
-        start = time.perf_counter()
-        for document in documents:
-            slow.add(document)
-        per_add = time.perf_counter() - start
-        fast = JsonlStore(os.path.join(tmp_dir, "batched.jsonl"))
-        start = time.perf_counter()
-        fast.add_many(documents)
-        bulk = time.perf_counter() - start
-        if len(fast) != count:
-            raise AssertionError("store_ingest: jsonl add_many lost documents")
-        entry["jsonl"] = {
-            "per_add_seconds": per_add,
-            "add_many_seconds": bulk,
-            "speedup": per_add / bulk if bulk > 0 else float("inf"),
         }
     print(
         f"{'store_ingest':<18} {count:>4} docs   "

@@ -56,7 +56,7 @@ from repro.similarity import (
     local_similarity,
 )
 from repro.classification import Classifier, Repository
-from repro.classification.stores import DocumentStore, JsonlStore, MemoryStore
+from repro.classification.stores import DocumentStore, MemoryStore
 from repro.core import (
     ExtendedDTD,
     Recorder,
@@ -96,7 +96,6 @@ __all__ = [
     "Repository",
     "DocumentStore",
     "MemoryStore",
-    "JsonlStore",
     "EventBus",
     "Pipeline",
     "ExtendedDTD",

@@ -13,14 +13,14 @@ numeric rank in the range [0, 1]."
   documents no DTD describes well enough, for later re-classification
   against the evolved DTD set;
 - :mod:`repro.classification.stores` supplies the pluggable storage
-  backends the repository delegates to (in-memory or spill-to-disk).
+  backends the repository delegates to (in-memory, or persisted in
+  sqlite).
 """
 
 from repro.classification.classifier import Classifier, ClassificationResult
 from repro.classification.repository import Repository
 from repro.classification.stores import (
     DocumentStore,
-    JsonlStore,
     MemoryStore,
     SqliteStore,
     make_store,
@@ -32,7 +32,6 @@ __all__ = [
     "Repository",
     "DocumentStore",
     "MemoryStore",
-    "JsonlStore",
     "SqliteStore",
     "make_store",
 ]

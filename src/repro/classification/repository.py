@@ -9,8 +9,8 @@ DTD."
 
 The repository itself is policy only; the actual document storage is a
 pluggable :class:`~repro.classification.stores.DocumentStore` (in-memory
-by default, spill-to-disk via
-:class:`~repro.classification.stores.JsonlStore`).
+by default, persisted and indexed via
+:class:`~repro.classification.stores.SqliteStore`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.classification.stores import (
     CandidateRow,
     DocumentStore,
-    DrainPredicate,
     DrainQuery,
     MemoryStore,
 )
@@ -106,16 +105,11 @@ class Repository:
     def is_empty(self) -> bool:
         return len(self._store) == 0
 
-    def drain(self, accepts: Optional[DrainPredicate] = None) -> List[Document]:
-        """Remove and return documents, for re-triage after an evolution.
-
-        The one drain semantics of the store protocol: with no predicate
-        every held document is removed and returned (the engine's drain —
-        each document is then classified exactly once per pass); with an
-        ``accepts`` predicate only matching documents are removed, and
-        the rest stay, in order.
-        """
-        return self._store.drain(accepts)
+    def drain(self) -> List[Document]:
+        """Remove and return every held document, in insertion order,
+        for re-triage after an evolution (each document is then
+        classified exactly once per pass)."""
+        return self._store.drain()
 
     def clear(self) -> None:
         self._store.clear()

@@ -13,7 +13,7 @@ Subcommands::
         Infer a DTD from scratch (the XTRACT-style baseline).
 
     dtdevolve run --state state.json [--dtd schema.dtd] [--triggers rules.txt]
-                  [--store {memory,jsonl,sqlite}]
+                  [--store {memory,sqlite}]
                   [--checkpoint-every N] [--no-fastpath] [--report-perf]
                   [--trace out.json] [--trace-jsonl out.jsonl]
                   [--metrics out.prom] docs...
@@ -33,7 +33,7 @@ Subcommands::
         exposition of counters and span-latency histograms.
 
     dtdevolve serve --state state.json [--dtd schema.dtd] [--host H --port P]
-                    [--store {memory,jsonl,sqlite}]
+                    [--store {memory,sqlite}]
                     [--queue-limit N] [--max-inflight N]
                     [--checkpoint-every N] [--duration S]
                     [--trace-sample RATE] [--trace-slow-ms MS]
@@ -70,6 +70,7 @@ import sys
 from typing import List, Optional
 
 from repro.baselines.xtract import infer_dtd
+from repro.classification.stores import STORE_KINDS
 from repro.core.evolution import EvolutionConfig, evolve_dtd
 from repro.core.extended_dtd import ExtendedDTD
 from repro.core.recorder import Recorder
@@ -158,13 +159,21 @@ def _grouped_perf_report(snapshot) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    source = _load_or_init_source(args)
+    if source is None:
+        return 2
+    try:
+        _run_source(source, args)
+    finally:
+        source.close()
+    return 0
+
+
+def _run_source(source, args: argparse.Namespace) -> None:
     import json
 
     from repro.core.persistence import save_source
 
-    source = _load_or_init_source(args)
-    if source is None:
-        return 2
     if args.log_json:
         from repro.obs.logging import configure_json_logging
 
@@ -216,7 +225,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"metrics written to {args.metrics}", file=sys.stderr)
     if args.report_perf:
         print(json.dumps(_grouped_perf_report(source.perf_snapshot()), indent=1))
-    return 0
 
 
 def _load_or_init_source(args: argparse.Namespace):
@@ -266,9 +274,6 @@ def _load_or_init_source(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
 
-    from repro.core.persistence import save_source
-    from repro.serve import ServeConfig, serve_forever
-
     # the service announces the *bound* port (essential with --port 0)
     # and surfaced store warnings on its logger — give it a stderr
     # handler unless the embedding application configured one already
@@ -288,6 +293,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     source = _load_or_init_source(args)
     if source is None:
         return 2
+    try:
+        _serve_source(source, args)
+    finally:
+        source.close()
+    return 0
+
+
+def _serve_source(source, args: argparse.Namespace) -> None:
+    from repro.core.persistence import save_source
+    from repro.serve import ServeConfig, serve_forever
+
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -315,7 +331,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{service.checkpoints} checkpoints; state saved to {args.state}",
         file=sys.stderr,
     )
-    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -393,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--min-documents", type=int, default=10, dest="min_documents")
     run.add_argument(
         "--store",
-        choices=["memory", "jsonl", "sqlite"],
+        choices=STORE_KINDS,
         default=None,
         help="repository backend (default: what the snapshot used, or "
         "memory); sqlite keeps an inverted tag index so post-evolution "
@@ -460,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mu", type=float, default=0.0)
     serve.add_argument("--min-documents", type=int, default=10, dest="min_documents")
     serve.add_argument(
-        "--store", choices=["memory", "jsonl", "sqlite"], default=None,
+        "--store", choices=STORE_KINDS, default=None,
         help="repository backend (default: what the snapshot used, or memory)",
     )
     serve.add_argument(

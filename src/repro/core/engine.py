@@ -14,7 +14,8 @@ The class is a thin facade: the loop itself lives in
 :class:`~repro.pipeline.stages.Pipeline`, every phase transition is
 announced on the :attr:`XMLSource.events` bus, and the repository's
 documents live in a pluggable
-:class:`~repro.classification.stores.DocumentStore`.  The facade keeps
+:class:`~repro.classification.stores.DocumentStore` (in memory, or
+persisted in sqlite).  The facade keeps
 the paper's Figure-1 vocabulary — ``process`` *is* the cycle — while the
 pipeline underneath stays open for recomposition.
 
@@ -103,11 +104,14 @@ class XMLSource:
         for name in self.classifier.dtd_names():
             self._install(self.classifier.dtd(name))
         #: unclassified documents, backed by the configured store
-        #: (``None``/``"memory"`` in RAM, ``"jsonl"`` spilled to disk, or
-        #: any :class:`DocumentStore` instance)
+        #: (``None``/``"memory"`` in RAM, ``"sqlite"`` on disk with a tag
+        #: index, or any :class:`DocumentStore` instance)
         self.repository = Repository(make_store(store))
-        # stores that batch durability work (sqlite commit policy, jsonl
-        # segment compaction) report it through the shared counters
+        # a store built here from a kind name is this engine's to close;
+        # an instance passed in stays the caller's
+        self._owns_store = isinstance(store, str)
+        # stores that batch durability work (sqlite's batch commits)
+        # report it through the shared counters
         attach_counters = getattr(self.repository.store, "set_counters", None)
         if attach_counters is not None:
             attach_counters(self.perf)
@@ -225,12 +229,16 @@ class XMLSource:
         return self._state_version
 
     def close(self) -> None:
-        """A no-op, so callers may release an engine uniformly (``with
-        XMLSource(...) as source:`` or an explicit call): the engine
-        holds no process or OS resource of its own.  The
-        document store is deliberately *not* closed — a ``jsonl`` store
-        deletes its spill file on close, and that decision belongs to
-        whoever configured the store."""
+        """Release the document store if this engine built it from a
+        kind name (``store="sqlite"`` deletes its temporary database);
+        usable as ``with XMLSource(...) as source:``.  A store instance
+        passed in stays open: closing it belongs to whoever configured
+        it.  Closing again is a no-op."""
+        if self._owns_store:
+            self._owns_store = False
+            close_store = getattr(self.repository.store, "close", None)
+            if close_store is not None:
+                close_store()
 
     def __enter__(self) -> "XMLSource":
         return self

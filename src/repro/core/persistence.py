@@ -7,15 +7,15 @@ record, the document-level counters, and the repository — to plain
 JSON, and restores it into a fully working :class:`XMLSource`.
 
 The repository is read and restored through the
-:class:`~repro.classification.stores.DocumentStore` protocol: format 3
-snapshots tag which backend held the documents (``memory``, ``jsonl``
-or ``sqlite``) plus the index metadata of an indexed backend, and
-loading re-materialises into that backend (one bulk ``add_many``,
-re-indexing as it goes) unless the caller overrides it with
-``store=``.  Format 2 snapshots (no index metadata) and format 1
-snapshots (a plain document list) still load, and so do format-3
-snapshots that still carry the ``classifier`` section an earlier
-sharded classifier wrote (it is ignored).
+:class:`~repro.classification.stores.DocumentStore` protocol: format 2
+and 3 snapshots tag which backend held the documents (``memory`` or
+``sqlite``), and loading re-materialises into a new store of that kind,
+owned by the restored source (one bulk ``add_many``, re-indexing as it
+goes), unless the caller overrides it with ``store=``.  Format 1
+snapshots (a plain document list) still load, and so do snapshots
+written by earlier versions: a ``jsonl`` kind restores into
+``sqlite``, and the ``repository.index`` and ``classifier`` sections
+they may carry are ignored.
 
 A snapshot copies each repository document's text from the store
 (:meth:`~repro.classification.repository.Repository.texts`) without
@@ -225,15 +225,8 @@ def source_to_json(source: XMLSource) -> Dict[str, Any]:
 
     The repository section records the backing store kind alongside the
     documents' canonical text (copied from the store, never re-parsed),
-    plus the index description when the backend is indexed, so a
-    restored source lands on the same backend by default.
+    so a restored source lands on the same backend by default.
     """
-    store = source.repository.store
-    index_metadata = (
-        store.index_metadata()
-        if getattr(store, "supports_indexed_drain", False)
-        else None
-    )
     return {
         "format": FORMAT_VERSION,
         "config": config_to_json(source.config),
@@ -243,8 +236,7 @@ def source_to_json(source: XMLSource) -> Dict[str, Any]:
             extended_to_json(source.extended[name]) for name in source.dtd_names()
         ],
         "repository": {
-            "store": store_kind(store),
-            "index": index_metadata,
+            "store": store_kind(source.repository.store),
             "documents": list(source.repository.texts()),
         },
     }
@@ -261,8 +253,12 @@ def source_from_json(
 
     ``store`` overrides the snapshot's repository backend (a kind name
     or a :class:`~repro.classification.stores.DocumentStore` instance);
-    left ``None``, format-2/3 snapshots restore into the backend they
-    were saved from and format-1 snapshots into memory.
+    left ``None``, format-2/3 snapshots restore into a new store of the
+    kind they were saved from, which the restored source owns and
+    closes, and format-1 snapshots into memory.  A saved ``jsonl`` kind,
+    from before that backend was removed, restores into ``sqlite``: the
+    documents are inline in the snapshot, and sqlite keeps them
+    off-heap as jsonl did.
     """
     version = data.get("format")
     if version not in SUPPORTED_FORMATS:
@@ -273,6 +269,8 @@ def source_from_json(
         saved_kind, documents = "memory", repository_data
     else:
         saved_kind = repository_data.get("store", "memory")
+        if saved_kind == "jsonl":
+            saved_kind = "sqlite"
         documents = repository_data["documents"]
     config = config_from_json(data["config"])
     extended_list = [extended_from_json(entry) for entry in data["extended"]]

@@ -102,8 +102,6 @@ COUNTER_NAMES = (
     "drain_index_hits",
     "index_rows",
     "ingest_batch_commits",
-    "segments_compacted",
-    "compaction_bytes_reclaimed",
 ) + TIMER_NAMES
 
 
@@ -174,11 +172,6 @@ class PerfCounters:
         #: store commits that covered a whole deposit batch (``add_many``
         #: or a ``bulk()`` window) instead of one document
         self.ingest_batch_commits = 0
-        #: JsonlStore segments rewritten by compaction (tombstoned
-        #: records physically dropped)
-        self.segments_compacted = 0
-        #: bytes of tombstoned records reclaimed by segment compaction
-        self.compaction_bytes_reclaimed = 0
         for name in TIMER_NAMES:
             setattr(self, name, 0)
         self._active_timers.clear()

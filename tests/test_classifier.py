@@ -96,16 +96,6 @@ class TestRepository:
         assert list(repository) == documents
         assert not repository.is_empty()
 
-    def test_drain_partitions(self):
-        repository = Repository()
-        for xml in ["<a/>", "<b/>", "<a/>"]:
-            repository.add(parse_document(xml))
-        accepted = repository.drain(
-            lambda document: document.root.tag == "a"
-        )
-        assert len(accepted) == 2
-        assert len(repository) == 1
-
     def test_drain_without_predicate_takes_all(self):
         repository = Repository()
         documents = [parse_document("<a/>"), parse_document("<b/>")]

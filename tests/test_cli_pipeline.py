@@ -151,23 +151,50 @@ class TestNoFastpathOutcomes:
 
 
 class TestStoreFlag:
-    def test_jsonl_store_runs_and_resumes(self, workspace, tmp_path, capsys):
+    def test_sqlite_runs_and_serve_leave_no_temporary_file(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """``--store sqlite`` keeps the repository in a temporary
+        database; the state file holds the repository, so ``run`` and
+        ``serve`` delete that database when they exit."""
+        import logging
+        import tempfile
+
+        spill = tmp_path / "tmp"
+        spill.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill))
+        # serve attaches a stderr handler unless its logger has one
+        monkeypatch.setattr(
+            logging.getLogger("repro.serve"), "handlers", [logging.NullHandler()]
+        )
         dtd_path, documents = workspace
         state = str(tmp_path / "state.json")
         assert (
             main(
                 ["run", "--state", state, "--dtd", dtd_path, "--sigma", "0.3",
-                 "--store", "jsonl", "--min-documents", "12"]
+                 "--store", "sqlite", "--min-documents", "12"]
                 + documents[:6]
             )
             == 0
         )
         capsys.readouterr()
         with open(state) as handle:
-            assert json.load(handle)["repository"]["store"] == "jsonl"
+            assert json.load(handle)["repository"]["store"] == "sqlite"
         # the resumed run respects the snapshot's backend and evolves
         assert main(["run", "--state", state] + documents[6:]) == 0
         assert "evolved" in capsys.readouterr().out
+        assert main(
+            ["serve", "--state", state, "--port", "0", "--duration", "0.2"]
+        ) == 0
+        assert list(spill.iterdir()) == []
+
+    def test_jsonl_store_is_rejected(self, workspace, tmp_path, capsys):
+        dtd_path, documents = workspace
+        state = str(tmp_path / "state.json")
+        with pytest.raises(SystemExit):
+            main(["run", "--state", state, "--dtd", dtd_path,
+                  "--store", "jsonl"] + documents[:1])
+        assert "invalid choice: 'jsonl'" in capsys.readouterr().err
 
 
 class TestCheckpointEvery:

@@ -1,6 +1,6 @@
 """Tests for the staged pipeline and its lifecycle event bus
 (repro.pipeline): stage composition, event sequences, bus-mirrored perf
-counters, injected classifications, and the memory-vs-jsonl store
+counters, injected classifications, and the memory-vs-sqlite store
 equivalence of the full engine.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.classification.stores import JsonlStore, MemoryStore, SqliteStore
+from repro.classification.stores import MemoryStore, SqliteStore
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.dtd.serializer import serialize_dtd
@@ -381,27 +381,27 @@ class TestInjectedClassification:
 
 
 class TestStoreEquivalence:
-    def test_memory_and_jsonl_sources_agree(self, tmp_path):
-        """One workload through a MemoryStore source and a JsonlStore
+    def test_memory_and_sqlite_sources_agree(self, tmp_path):
+        """One workload through a MemoryStore source and a SqliteStore
         source: identical outcomes, evolution logs, evolved DTDs, and
         repository contents (the acceptance equivalence)."""
         config = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
         documents = figure3_workload(15, 15, seed=3)
         memory = XMLSource([figure3_dtd()], config, store=MemoryStore())
-        jsonl = XMLSource(
+        sqlite = XMLSource(
             [figure3_dtd()],
             config,
-            store=JsonlStore(str(tmp_path / "repository.jsonl")),
+            store=SqliteStore(str(tmp_path / "repository.sqlite")),
         )
         memory_outcomes = memory.process_many([d.copy() for d in documents])
-        jsonl_outcomes = jsonl.process_many([d.copy() for d in documents])
-        for ours, theirs in zip(memory_outcomes, jsonl_outcomes):
+        sqlite_outcomes = sqlite.process_many([d.copy() for d in documents])
+        for ours, theirs in zip(memory_outcomes, sqlite_outcomes):
             assert ours.dtd_name == theirs.dtd_name
             assert ours.similarity == theirs.similarity
             assert ours.evolved == theirs.evolved
             assert ours.recovered == theirs.recovered
-        assert len(memory.evolution_log) == len(jsonl.evolution_log) > 0
-        for ours, theirs in zip(memory.evolution_log, jsonl.evolution_log):
+        assert len(memory.evolution_log) == len(sqlite.evolution_log) > 0
+        for ours, theirs in zip(memory.evolution_log, sqlite.evolution_log):
             assert ours.dtd_name == theirs.dtd_name
             assert ours.documents_recorded == theirs.documents_recorded
             assert ours.activation_score == theirs.activation_score
@@ -410,19 +410,42 @@ class TestStoreEquivalence:
                 theirs.result.new_dtd
             )
         for name in memory.dtd_names():
-            assert serialize_dtd(memory.dtd(name)) == serialize_dtd(jsonl.dtd(name))
+            assert serialize_dtd(memory.dtd(name)) == serialize_dtd(sqlite.dtd(name))
         from repro.xmltree.serializer import serialize_document
 
         assert [
             serialize_document(d, xml_declaration=False) for d in memory.repository
-        ] == [serialize_document(d, xml_declaration=False) for d in jsonl.repository]
+        ] == [serialize_document(d, xml_declaration=False) for d in sqlite.repository]
+        sqlite.repository.store.close()
 
     def test_store_kinds_accepted_by_name(self, tmp_path):
         memory = XMLSource([figure3_dtd()], store="memory")
-        jsonl = XMLSource([figure3_dtd()], store="jsonl")
+        sqlite = XMLSource([figure3_dtd()], store="sqlite")
         assert isinstance(memory.repository.store, MemoryStore)
-        assert isinstance(jsonl.repository.store, JsonlStore)
-        jsonl.repository.store.close()
+        assert isinstance(sqlite.repository.store, SqliteStore)
+        memory.close()
+        sqlite.close()
+
+    def test_source_closes_only_the_store_it_built(self, tmp_path):
+        """A store built from a kind name is the engine's: ``close()``
+        deletes its temporary database, and closing again is a no-op.
+        A store instance passed in stays open for its owner."""
+        import os
+
+        built = XMLSource([figure3_dtd()], store="sqlite")
+        built.repository.add(figure3_workload(1, 0, seed=1)[0])
+        path = built.repository.store.path
+        assert os.path.exists(path)
+        built.close()
+        assert not os.path.exists(path)
+        built.close()
+
+        given = SqliteStore(str(tmp_path / "given.sqlite"))
+        with XMLSource([figure3_dtd()], store=given) as source:
+            source.repository.add(figure3_workload(1, 0, seed=1)[0])
+        assert len(given) == 1
+        assert len(list(given)) == 1  # the connection is still open
+        given.close()
 
     def test_unknown_store_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown store kind"):

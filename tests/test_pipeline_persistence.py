@@ -15,7 +15,7 @@ from contextlib import closing
 import pytest
 
 from repro.classification.repository import Repository
-from repro.classification.stores import JsonlStore, MemoryStore, make_store
+from repro.classification.stores import MemoryStore, SqliteStore, make_store
 from repro.core import persistence
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
@@ -28,7 +28,6 @@ from repro.core.persistence import (
 )
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
-from repro.xmltree.parser import parse_document
 from repro.xmltree.serializer import serialize_document
 
 from tests.test_store_equivalence import _drain_workload
@@ -70,6 +69,34 @@ def _state(source):
         ],
         "documents_processed": source.documents_processed,
     }
+
+
+def _outcomes(source, batch):
+    return [
+        (o.dtd_name, o.similarity, tuple(o.evolved), o.recovered)
+        for o in source.process_many([d.copy() for d in batch])
+    ]
+
+
+def _resume_edited_snapshot(edit, split=10):
+    """Snapshot a source mid-stream, ``edit`` the snapshot's JSON in
+    place, restore it and finish the stream: the outcomes and the final
+    state must equal the uninterrupted run's.  Returns the resumed
+    source."""
+    documents = _workload()
+    uninterrupted = _fresh_source()
+    expected_outcomes = _outcomes(uninterrupted, documents)
+    interrupted = _fresh_source()
+    _outcomes(interrupted, documents[:split])
+    data = source_to_json(interrupted)
+    edit(data)
+    resumed = source_from_json(json.loads(json.dumps(data)))
+    assert _outcomes(resumed, documents[split:]) == expected_outcomes[split:]
+    expected = _state(uninterrupted)
+    # the resumed log holds exactly the post-snapshot continuation
+    del expected["evolution_log"][: len(interrupted.evolution_log)]
+    assert _state(resumed) == expected
+    return resumed
 
 
 class TestMidBatchEvolutionRoundTrip:
@@ -171,60 +198,42 @@ class TestFormatVersions:
         data = source_to_json(source)
         assert FORMAT_VERSION == 3
         assert data["format"] == 3
-        assert data["repository"] == {
-            "store": "memory",
-            "index": None,
-            "documents": [],
-        }
+        assert data["repository"] == {"store": "memory", "documents": []}
         assert "classifier" not in data
-
-    def test_sqlite_snapshot_records_index_metadata(self):
-        from repro.classification.stores import SqliteStore
-
-        source = _fresh_source(store="sqlite")
-        source.process_many([d.copy() for d in _workload()[:4]])
-        try:
-            data = source_to_json(source)
-            assert data["repository"]["store"] == "sqlite"
-            index = data["repository"]["index"]
-            assert index["kind"] == "tag-vocabulary"
-            assert index["documents"] == len(source.repository)
-            if len(source.repository):
-                assert index["rows"] > 0
-            restored = source_from_json(data)
-            try:
-                assert isinstance(restored.repository.store, SqliteStore)
-                assert len(restored.repository) == len(source.repository)
-            finally:
-                restored.repository.store.close()
-        finally:
-            source.repository.store.close()
 
     def test_format_3_snapshot_with_a_classifier_section_still_loads(self):
         """Format-3 snapshots written while a sharded classifier existed
         carry a ``classifier`` section; one taken mid-stream restores
         and finishes the stream exactly like the uninterrupted run."""
-        documents = _workload()
-        split = 10
 
-        def run(source, batch):
-            return [
-                (o.dtd_name, o.similarity, tuple(o.evolved), o.recovered)
-                for o in source.process_many([d.copy() for d in batch])
-            ]
+        def add_classifier_section(data):
+            data["classifier"] = {"sharded": True, "shards": [["figure3"]]}
 
-        uninterrupted = _fresh_source()
-        expected_outcomes = run(uninterrupted, documents)
-        interrupted = _fresh_source()
-        run(interrupted, documents[:split])
-        data = source_to_json(interrupted)
-        data["classifier"] = {"sharded": True, "shards": [["figure3"]]}
-        resumed = source_from_json(json.loads(json.dumps(data)))
-        assert run(resumed, documents[split:]) == expected_outcomes[split:]
-        expected = _state(uninterrupted)
-        # the resumed log holds exactly the post-snapshot continuation
-        del expected["evolution_log"][: len(interrupted.evolution_log)]
-        assert _state(resumed) == expected
+        _resume_edited_snapshot(add_classifier_section)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_snapshot_of_a_jsonl_store_loads_into_sqlite(self, version):
+        """Snapshots written while the jsonl backend existed name it;
+        one taken mid-stream restores into a SqliteStore the source owns
+        and finishes the stream exactly like the uninterrupted run.  The
+        format-3 one also carries the ``repository.index`` section those
+        versions wrote, which the loader ignores."""
+
+        def as_jsonl_snapshot(data):
+            assert data["repository"]["documents"]
+            data["format"] = version
+            data["repository"]["store"] = "jsonl"
+            if version == 3:
+                data["repository"]["index"] = None
+
+        resumed = _resume_edited_snapshot(as_jsonl_snapshot)
+        path = resumed.repository.store.path
+        try:
+            assert isinstance(resumed.repository.store, SqliteStore)
+            assert source_to_json(resumed)["repository"]["store"] == "sqlite"
+        finally:
+            resumed.close()
+        assert not os.path.exists(path)
 
     def test_v2_snapshot_still_loads(self):
         """A format-2 snapshot (no index metadata) restores into a
@@ -245,19 +254,24 @@ class TestFormatVersions:
         assert restored.documents_processed == source.documents_processed
 
     def test_store_kind_round_trips(self, tmp_path):
-        source = _fresh_source(store=JsonlStore(str(tmp_path / "r.jsonl")))
+        store = SqliteStore(str(tmp_path / "r.sqlite"))
+        source = _fresh_source(store=store)
         source.process_many([d.copy() for d in _workload()[:4]])
         data = source_to_json(source)
-        assert data["repository"]["store"] == "jsonl"
+        assert data["repository"]["store"] == "sqlite"
         restored = source_from_json(data)
-        assert isinstance(restored.repository.store, JsonlStore)
+        assert isinstance(restored.repository.store, SqliteStore)
+        assert restored.repository.store is not store
         assert len(restored.repository) == len(source.repository)
-        restored.repository.store.close()
+        restored.close()
+        store.close()
 
     def test_store_override_at_load_time(self, tmp_path):
-        source = _fresh_source(store=JsonlStore(str(tmp_path / "r.jsonl")))
+        store = SqliteStore(str(tmp_path / "r.sqlite"))
+        source = _fresh_source(store=store)
         restored = source_from_json(source_to_json(source), store="memory")
         assert isinstance(restored.repository.store, MemoryStore)
+        store.close()
 
     def test_v1_snapshot_still_loads(self):
         """A pre-pipeline snapshot (format 1, repository as a bare list)
@@ -402,33 +416,6 @@ class TestSnapshotCopiesStoredText:
                 assert snapshot == _reference_snapshot(source)
             # ... but the snapshot holds them, in order
             assert snapshot["repository"]["documents"] == [_xml(d) for d in filler]
-        finally:
-            _release(source)
-
-    @pytest.mark.skipif("jsonl" not in STORE_KINDS, reason="jsonl not selected")
-    def test_jsonl_tombstones_and_compaction(self, tmp_path):
-        store = JsonlStore(
-            str(tmp_path / "r.jsonl"), segment_records=4, compact_ratio=0.5
-        )
-        source = _fresh_source(store=store)
-        try:
-            documents = [parse_document(f"<q{i}><r/></q{i}>") for i in range(12)]
-            for document in documents:
-                source.process(document)
-            # one of four records in the first segment: tombstoned only
-            source.repository.drain(lambda d: d.root.tag == "q1")
-            assert os.path.exists(store.path + ".tombstones")
-            assert source_to_json(source) == _reference_snapshot(source)
-            # two of four in the second segment: that segment is compacted
-            source.repository.drain(lambda d: d.root.tag in ("q5", "q6"))
-            assert source.perf_snapshot()["segments_compacted"] == 1
-            source.process(parse_document("<late><r/></late>"))
-            snapshot = source_to_json(source)
-            assert snapshot == _reference_snapshot(source)
-            kept = [d for i, d in enumerate(documents) if i not in (1, 5, 6)]
-            assert snapshot["repository"]["documents"] == [
-                _xml(d) for d in kept
-            ] + ["<late><r/></late>"]
         finally:
             _release(source)
 

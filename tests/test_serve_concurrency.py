@@ -486,8 +486,8 @@ class _ThirdPartyStore:
     def __iter__(self):
         return iter(self._inner)
 
-    def drain(self, accepts=None):
-        return self._inner.drain(accepts)
+    def drain(self):
+        return self._inner.drain()
 
     def clear(self):
         self._inner.clear()

@@ -31,6 +31,7 @@ from tests.serve_utils import (
     figure3_source,
     final_state_digest,
 )
+from tests.test_stores import selected_store_kinds
 
 
 def _workload_ops():
@@ -171,7 +172,7 @@ def test_served_ops_bit_identical_to_batch(tmp_path, store_kind):
         batch_source.close()
 
 
-@pytest.mark.parametrize("store_kind", ["memory", "jsonl", "sqlite"])
+@pytest.mark.parametrize("store_kind", selected_store_kinds())
 def test_bulk_deposit_bit_identical_to_singles(tmp_path, store_kind):
     """``{"documents": [...]}`` is one admission-controlled op whose
     per-document outcomes — and the engine it leaves behind — match a

@@ -4,7 +4,7 @@ The acceptance bar of the indexed-store work: the full engine pipeline
 — classification, mid-batch evolution, the pruned post-evolution drain,
 save/load resume — produces bit-identical observable state (outcomes,
 rankings, evolution log, repository content *and order*) whichever
-backend holds the repository (memory scan, jsonl scan, sqlite indexed).
+backend holds the repository (memory scan, sqlite indexed).
 
 The CI store-matrix job narrows the backend parameterization with
 ``REPRO_STORE_KINDS``; locally all backends run.
@@ -38,11 +38,8 @@ STORE_KINDS = selected_store_kinds()
 def _source(kind, tmp_path, fastpath=None, auto_evolve=True, dtds=None,
             config=_CONFIG):
     store = kind
-    if kind in ("jsonl", "sqlite"):
-        store_path = str(tmp_path / f"repo.{kind}")
-        from repro.classification.stores import make_store
-
-        store = make_store(kind, store_path)
+    if kind == "sqlite":
+        store = SqliteStore(str(tmp_path / "repo.sqlite"))
     return XMLSource(
         dtds if dtds is not None else [figure3_dtd()],
         config,

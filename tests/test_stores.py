@@ -6,9 +6,9 @@ import pytest
 
 from repro.classification.repository import Repository
 from repro.classification.stores import (
+    STORE_KINDS,
     DocumentStore,
     DrainQuery,
-    JsonlStore,
     MemoryStore,
     SqliteStore,
     make_store,
@@ -18,8 +18,6 @@ from repro.classification.stores import (
 from repro.xmltree.parser import parse_document
 from repro.xmltree.serializer import serialize_document
 
-ALL_STORE_KINDS = ("memory", "jsonl", "sqlite")
-
 
 def selected_store_kinds():
     """The backends under test — the CI store-matrix job narrows the
@@ -27,10 +25,10 @@ def selected_store_kinds():
     spec = os.environ.get("REPRO_STORE_KINDS", "")
     chosen = tuple(
         kind
-        for kind in ALL_STORE_KINDS
+        for kind in STORE_KINDS
         if kind in spec.replace(",", " ").split()
     )
-    return chosen or ALL_STORE_KINDS
+    return chosen or STORE_KINDS
 
 
 def _documents():
@@ -50,10 +48,7 @@ def store(request, tmp_path):
     if request.param == "memory":
         yield MemoryStore()
         return
-    if request.param == "jsonl":
-        backend = JsonlStore(str(tmp_path / "repo.jsonl"))
-    else:
-        backend = SqliteStore(str(tmp_path / "repo.sqlite"))
+    backend = SqliteStore(str(tmp_path / "repo.sqlite"))
     yield backend
     backend.close()
 
@@ -80,17 +75,8 @@ class TestStoreContract:
         assert len(store) == 0
         assert list(store) == []
 
-    def test_drain_with_predicate_keeps_rest_in_order(self, store):
-        for document in _documents():
-            store.add(document)
-        drained = store.drain(lambda d: d.root.tag == "a")
-        assert [d.root.tag for d in drained] == ["a", "a"]
-        assert len(store) == 1
-        assert [d.root.tag for d in store] == ["b"]
-
     def test_drain_empty(self, store):
         assert store.drain() == []
-        assert store.drain(lambda d: True) == []
 
     def test_clear(self, store):
         for document in _documents():
@@ -116,7 +102,8 @@ class TestStoreContract:
     def test_texts_are_the_canonical_text_in_insertion_order(self, store):
         documents = _documents()
         store.add_many(documents)
-        store.drain(lambda d: d.root.tag == "b")  # a gap in the middle
+        store.drain()
+        store.add_many([documents[0], documents[2]])
         store.add(parse_document("<late/>"))
         expected = [_xml(documents[0]), _xml(documents[2]), "<late/>"]
         assert list(store.texts()) == expected
@@ -136,213 +123,6 @@ class TestStoreContract:
         assert [d.root.tag for d in store] == ["a", "b"]
 
 
-class TestJsonlStore:
-    def test_round_trips_structure(self, tmp_path):
-        store = JsonlStore(str(tmp_path / "r.jsonl"))
-        document = parse_document(
-            '<a id="1"><b>text &amp; entities</b><c/><!-- gone --></a>'
-        )
-        store.add(document)
-        again = next(iter(store))
-        assert _xml(again) == _xml(document)
-
-    def test_resumes_existing_file(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        first = JsonlStore(path)
-        for document in _documents():
-            first.add(document)
-        second = JsonlStore(path)
-        assert len(second) == 3
-        assert [d.root.tag for d in second] == ["a", "b", "a"]
-
-    def test_drain_rewrites_file(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path)
-        for document in _documents():
-            store.add(document)
-        store.drain(lambda d: d.root.tag == "a")
-        with open(path) as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 1
-        assert len(JsonlStore(path)) == 1
-
-    def test_temporary_file_is_owned_and_removed(self):
-        store = JsonlStore()
-        store.add(parse_document("<a/>"))
-        path = store.path
-        assert os.path.exists(path)
-        store.close()
-        assert not os.path.exists(path)
-        assert len(store) == 0
-
-    def test_named_file_survives_close(self, tmp_path):
-        path = str(tmp_path / "kept.jsonl")
-        store = JsonlStore(path)
-        store.add(parse_document("<a/>"))
-        store.close()
-        assert os.path.exists(path)
-
-    def test_append_handle_is_lazy_and_reused(self, tmp_path):
-        store = JsonlStore(str(tmp_path / "r.jsonl"))
-        assert store._append is None
-        store.add(parse_document("<a/>"))
-        handle = store._append
-        assert handle is not None
-        store.add(parse_document("<b/>"))
-        assert store._append is handle  # no reopen per append
-        store.close()
-        assert store._append is None
-
-    def test_drain_closes_append_handle_before_replacing_file(self, tmp_path):
-        """After os.replace an old handle would write to a deleted
-        inode; drain must cut it so post-drain appends land in the file."""
-        store = JsonlStore(str(tmp_path / "r.jsonl"))
-        for document in _documents():
-            store.add(document)
-        store.drain(lambda d: d.root.tag == "a")
-        assert store._append is None
-        store.add(parse_document("<late/>"))
-        assert [d.root.tag for d in store] == ["b", "late"]
-        assert len(JsonlStore(store.path)) == 2
-
-    def test_drain_leaves_no_temp_file(self, tmp_path):
-        store = JsonlStore(str(tmp_path / "r.jsonl"))
-        for document in _documents():
-            store.add(document)
-        store.drain()
-        assert os.listdir(str(tmp_path)) == ["r.jsonl"]
-
-
-class TestJsonlSegments:
-    """Segmented layout, tombstone drains, compaction, crash resume."""
-
-    @staticmethod
-    def _fill(store, count, tag="d"):
-        store.add_many(
-            parse_document(f"<{tag}><n{i % 4}/></{tag}>") for i in range(count)
-        )
-
-    def test_appends_seal_segments_and_keep_order(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path, segment_records=3)
-        documents = [parse_document(f"<a><b>x{i}</b></a>") for i in range(8)]
-        store.add_many(documents)
-        assert sorted(os.listdir(str(tmp_path))) == [
-            "r.jsonl", "r.jsonl.seg1", "r.jsonl.seg2",
-        ]
-        assert [_xml(d) for d in store] == [_xml(d) for d in documents]
-        # resume discovers the segments and the order survives
-        resumed = JsonlStore(path, segment_records=3)
-        assert [_xml(d) for d in resumed] == [_xml(d) for d in documents]
-
-    def test_predicate_drain_tombstones_instead_of_rewriting(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        # compact_ratio > 1 never triggers compaction: pure tombstoning
-        store = JsonlStore(path, segment_records=100, compact_ratio=2.0)
-        self._fill(store, 6, tag="keep")
-        self._fill(store, 2, tag="toss")
-        before = os.path.getsize(path)
-        drained = store.drain(lambda d: d.root.tag == "toss")
-        assert len(drained) == 2 and len(store) == 6
-        assert os.path.getsize(path) == before  # no rewrite happened
-        assert os.path.exists(path + ".tombstones")
-        assert all(d.root.tag == "keep" for d in store)
-        # a resume honours the tombstones too
-        assert len(JsonlStore(path)) == 6
-
-    def test_compaction_rewrites_segment_and_clears_tombstones(self, tmp_path):
-        from repro.perf import PerfCounters
-
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path, segment_records=100, compact_ratio=0.5)
-        counters = PerfCounters()
-        store.set_counters(counters)
-        self._fill(store, 4, tag="keep")
-        self._fill(store, 4, tag="toss")
-        before = os.path.getsize(path)
-        store.drain(lambda d: d.root.tag == "toss")
-        assert counters.segments_compacted == 1
-        assert counters.compaction_bytes_reclaimed > 0
-        assert os.path.getsize(path) < before
-        assert not os.path.exists(path + ".tombstones")  # all reclaimed
-        assert len(store) == 4 and len(JsonlStore(path)) == 4
-
-    def test_resume_discards_stale_compact_tmp(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path, segment_records=2)
-        self._fill(store, 5)
-        store._close_append()
-        # a compaction that crashed before its atomic replace leaves a
-        # partial copy behind; the original segments are still intact
-        with open(path + ".compact-tmp", "w") as tmp:
-            tmp.write("[999, \"<garbage\n")
-        with open(path + ".seg1.compact-tmp", "w") as tmp:
-            tmp.write("partial")
-        resumed = JsonlStore(path, segment_records=2)
-        assert len(resumed) == 5
-        assert not any(
-            name.endswith(".compact-tmp") for name in os.listdir(str(tmp_path))
-        )
-
-    def test_resume_filters_tombstones_of_reclaimed_records(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path, segment_records=100, compact_ratio=2.0)
-        self._fill(store, 4)
-        store._close_append()
-        # ids 0..3 exist; tombstone one real record plus a stale id from
-        # a compaction that crashed between segment replace and log rewrite
-        with open(path + ".tombstones", "w") as log:
-            log.write("1\n99\n")
-        resumed = JsonlStore(path)
-        assert len(resumed) == 3
-        assert resumed._tombstones == {1}
-        with open(path + ".tombstones") as log:
-            assert [line.strip() for line in log if line.strip()] == ["1"]
-        # new records never collide with the stale id
-        resumed.add(parse_document("<fresh/>"))
-        assert resumed._next_id > 4
-
-    def test_legacy_plain_line_file_migrates_in_place(self, tmp_path):
-        import json as _json
-
-        path = str(tmp_path / "r.jsonl")
-        documents = _documents()
-        with open(path, "w") as legacy:
-            for document in documents:
-                legacy.write(_json.dumps(_xml(document)) + "\n")
-        store = JsonlStore(path)
-        assert [_xml(d) for d in store] == [_xml(d) for d in documents]
-        drained = store.drain(lambda d: d.root.tag == "b")
-        assert [d.root.tag for d in drained] == ["b"]
-        assert len(JsonlStore(path)) == 2
-
-    def test_disk_stays_bounded_under_deposit_drain_soak(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path, segment_records=8, compact_ratio=0.5)
-        peak = 0
-        for round_index in range(40):
-            self._fill(store, 8, tag=f"t{round_index % 3}")
-            store.drain(lambda d: True)
-            peak = max(peak, store.disk_usage())
-        assert len(store) == 0
-        # sustained churn never accumulates: the high-water mark stays
-        # within a couple of segments' worth of records
-        assert peak < 8 * 2 * 64
-        assert store.disk_usage() < 8 * 64
-
-    def test_disk_stays_bounded_under_predicate_drain_soak(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        store = JsonlStore(path, segment_records=8, compact_ratio=0.5)
-        for round_index in range(40):
-            self._fill(store, 6, tag="toss")
-            self._fill(store, 2, tag="keep")
-            store.drain(lambda d: d.root.tag == "toss")
-        assert len(store) == 80
-        live_bytes = 80 * 32
-        assert store.disk_usage() < live_bytes * 3
-        assert [d.root.tag for d in store] == ["keep"] * 80
-
-
 class TestSqliteStore:
     def test_round_trips_structure(self, tmp_path):
         store = SqliteStore(str(tmp_path / "r.sqlite"))
@@ -359,13 +139,13 @@ class TestSqliteStore:
         first = SqliteStore(path)
         for document in _documents():
             first.add(document)
-        rows = first.index_rows()
+        rows = self._committed_rows(path, "tags")
         first._connection.close()  # crash: never SqliteStore.close()
         second = SqliteStore(path)
         assert len(second) == 3
         assert [d.root.tag for d in second] == ["a", "b", "a"]
         # the inverted index survived without a rebuild
-        assert second.index_rows() == rows > 0
+        assert self._committed_rows(path, "tags") == rows > 0
         second.close()
 
     def test_temporary_file_is_owned_and_removed(self):
@@ -376,6 +156,7 @@ class TestSqliteStore:
         store.close()
         assert not os.path.exists(path)
         assert len(store) == 0
+        store.close()  # a second close is a no-op
 
     def test_named_file_survives_close(self, tmp_path):
         path = str(tmp_path / "kept.sqlite")
@@ -455,21 +236,14 @@ class TestSqliteStore:
         assert [d.root.tag for d in fetched] == ["a", "a"]
         store.close()
 
-    def test_index_metadata_counts(self, tmp_path):
-        store = SqliteStore(str(tmp_path / "r.sqlite"))
-        store.add(parse_document("<a><b/><b/></a>"))  # two tags, 3 elements
-        metadata = store.index_metadata()
-        assert metadata == {"kind": "tag-vocabulary", "rows": 2, "documents": 1}
-        store.close()
-
     @staticmethod
-    def _committed_rows(path):
+    def _committed_rows(path, table="documents"):
         """What a second connection sees — i.e. what is durably committed."""
         import sqlite3
 
         reader = sqlite3.connect(path)
         try:
-            return reader.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
+            return reader.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
         finally:
             reader.close()
 
@@ -487,64 +261,46 @@ class TestSqliteStore:
         assert [_xml(d) for d in store] == [_xml(d) for d in documents]
         store.close()
 
-    def test_commit_every_groups_transactions(self, tmp_path):
+    def test_bulk_window_groups_transactions(self, tmp_path):
         path = str(tmp_path / "r.sqlite")
-        store = SqliteStore(path, commit_every=5)
-        for i in range(4):
-            store.add(parse_document(f"<a><b>x{i}</b></a>"))
-        # own-connection reads see pending rows; other connections don't
-        assert len(list(store)) == 4
-        assert self._committed_rows(path) == 0
-        store.add(parse_document("<a><b>x4</b></a>"))
-        assert self._committed_rows(path) == 5
+        store = SqliteStore(path)
+        with store.bulk():
+            for i in range(4):
+                store.add(parse_document(f"<a><b>x{i}</b></a>"))
+            # own-connection reads see pending rows; other connections don't
+            assert len(list(store)) == 4
+            assert self._committed_rows(path) == 0
+        assert self._committed_rows(path) == 4
         store.close()
 
     def test_close_commits_pending_inserts(self, tmp_path):
         path = str(tmp_path / "r.sqlite")
-        store = SqliteStore(path, commit_every=100)
-        store.add(parse_document("<a/>"))
-        assert self._committed_rows(path) == 0
-        store.close()
-        assert self._committed_rows(path) == 1
+        store = SqliteStore(path)
+        with store.bulk():
+            store.add(parse_document("<a/>"))
+            assert self._committed_rows(path) == 0
+            store.close()  # a shutdown inside an open window
+            assert self._committed_rows(path) == 1
 
     def test_drain_commits_pending_inserts_first(self, tmp_path):
         path = str(tmp_path / "r.sqlite")
-        store = SqliteStore(path, commit_every=100)
-        for document in _documents():
-            store.add(document)
-        drained = store.drain(lambda d: d.root.tag == "a")
-        assert [d.root.tag for d in drained] == ["a", "a"]
+        store = SqliteStore(path)
+        with store.bulk():
+            for document in _documents():
+                store.add(document)
+            drained = store.drain()
+            assert [d.root.tag for d in drained] == ["a", "b", "a"]
+            assert self._committed_rows(path) == 0
+            store.add(parse_document("<late/>"))
         assert len(store) == 1
         store.close()
         assert self._committed_rows(path) == 1
-
-    def test_vacuum_every_returns_pages_to_the_filesystem(self, tmp_path):
-        def churn(path, vacuum_every):
-            store = SqliteStore(path, vacuum_every=vacuum_every)
-            store.add_many(
-                parse_document("<a>" + "<b>some padding text</b>" * 20 + "</a>")
-                for _ in range(100)
-            )
-            store.clear()
-            store.close()
-            return os.path.getsize(path)
-
-        kept = churn(str(tmp_path / "kept.sqlite"), vacuum_every=0)
-        vacuumed = churn(str(tmp_path / "vac.sqlite"), vacuum_every=1)
-        assert vacuumed < kept
 
 
 class TestMakeStore:
     def test_default_and_memory(self):
         assert isinstance(make_store(), MemoryStore)
         assert isinstance(make_store("memory"), MemoryStore)
-
-    def test_jsonl_with_and_without_path(self, tmp_path):
-        named = make_store("jsonl", str(tmp_path / "x.jsonl"))
-        assert isinstance(named, JsonlStore)
-        anonymous = make_store("jsonl")
-        assert isinstance(anonymous, JsonlStore)
-        anonymous.close()
 
     def test_instance_passes_through(self):
         store = MemoryStore()
@@ -564,7 +320,6 @@ class TestMakeStore:
 
     def test_store_kind_tags(self, tmp_path):
         assert store_kind(MemoryStore()) == "memory"
-        assert store_kind(JsonlStore(str(tmp_path / "k.jsonl"))) == "jsonl"
         sqlite_store = SqliteStore(str(tmp_path / "k.sqlite"))
         assert store_kind(sqlite_store) == "sqlite"
         sqlite_store.close()
@@ -583,7 +338,7 @@ class TestRepositoryDelegation:
         assert isinstance(Repository().store, MemoryStore)
 
     def test_delegates_to_configured_store(self, tmp_path):
-        backing = JsonlStore(str(tmp_path / "repo.jsonl"))
+        backing = SqliteStore(str(tmp_path / "repo.sqlite"))
         repository = Repository(backing)
         repository.add(parse_document("<a/>"))
         assert len(repository) == 1
@@ -591,6 +346,7 @@ class TestRepositoryDelegation:
         assert not repository.is_empty()
         assert repository.drain()[0].root.tag == "a"
         assert repository.is_empty()
+        backing.close()
 
     def test_repr_counts(self):
         repository = Repository()
@@ -619,8 +375,8 @@ class TestUnknownBackendPersistence:
         def __iter__(self):
             return iter(self._inner)
 
-        def drain(self, accepts=None):
-            return self._inner.drain(accepts)
+        def drain(self):
+            return self._inner.drain()
 
         def clear(self):
             self._inner.clear()
