@@ -150,7 +150,7 @@ class Element:
 
     def element_count(self) -> int:
         """Number of element vertices in this subtree (this one included)."""
-        return 1 + sum(child.element_count() for child in self.element_children())
+        return sum(1 for _ in self.iter_elements())
 
     # ------------------------------------------------------------------
     # Structural fingerprinting

@@ -1,6 +1,7 @@
 """Unit tests for the XML document object model."""
 
 from repro.xmltree.document import Document, Element, Text, element
+from repro.xmltree.parser import MAX_DEPTH, parse_document
 
 
 class TestElementNavigation:
@@ -63,6 +64,16 @@ class TestElementNavigation:
     def test_element_count(self):
         root = element("a", element("b", element("d")), element("c"))
         assert root.element_count() == 4
+
+    def test_element_count_at_the_parser_depth_limit(self):
+        depth = MAX_DEPTH
+        document = parse_document("<a>" * depth + "</a>" * depth)
+        assert document.element_count() == depth
+
+        chain = Element("e0")
+        for level in range(1, depth):
+            chain = Element(f"e{level}", children=[chain, Text("t")])
+        assert chain.element_count() == depth
 
 
 class TestTreeView:

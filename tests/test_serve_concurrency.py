@@ -10,9 +10,10 @@ Four properties, each probed over real sockets with racing threads:
    total order: every response's ``applied_index`` is unique and the
    set is contiguous.
 3. **Backpressure** — a full write queue answers 429 with a
-   ``Retry-After`` hint instead of queueing unboundedly, and a deposit
+   ``Retry-After`` hint instead of queueing unboundedly, a deposit
    whose body is still being parsed (on the writer) never stalls the
-   other endpoints.
+   other endpoints, and a body the parser rejects answers 400 on
+   either thread without wedging it.
 4. **Graceful shutdown** — every *accepted* write completes before the
    service stops, the final checkpoint reflects it, and a disk-backed
    store survives for crash-resume.
@@ -86,6 +87,7 @@ def test_classify_sees_exactly_one_epoch():
 
             responses = []
             lock = threading.Lock()
+            saw_before = threading.Event()
             saw_after = threading.Event()
             stop = threading.Event()
 
@@ -97,7 +99,9 @@ def test_classify_sees_exactly_one_epoch():
                         assert status == 200
                         with lock:
                             responses.append(body)
-                        if body["snapshot_version"] > before["snapshot_version"]:
+                        if body["snapshot_version"] == before["snapshot_version"]:
+                            saw_before.set()
+                        elif body["snapshot_version"] > before["snapshot_version"]:
                             saw_after.set()
                 finally:
                     client.close()
@@ -105,6 +109,9 @@ def test_classify_sees_exactly_one_epoch():
             threads = [threading.Thread(target=reader) for _ in range(4)]
             for thread in threads:
                 thread.start()
+            # a reader must have recorded the old epoch before the
+            # evolution can replace it, or only the new one is seen
+            wait_until(saw_before.is_set, timeout=10)
             status, _, evolved = setup.post("/evolve", {"dtd": "figure3"})
             assert status == 200
             # keep reading until every epoch has demonstrably been seen
@@ -388,6 +395,30 @@ def test_deposit_parse_never_blocks_the_event_loop(monkeypatch):
                 thread.join(timeout=30)
         [(status, _, body)] = responses
         assert status == 200 and body["applied_index"] == 1
+    finally:
+        source.close()
+
+
+def test_unterminated_character_reference_answers_400_on_both_threads():
+    """A character reference cut off by the end of the body is a parse
+    error like any other: /classify (parsed on the reader thread) and
+    /deposit (parsed on the writer) each answer 400 promptly, and both
+    threads stay free for the well-formed requests after it."""
+    source = figure3_source()
+    try:
+        with ServiceRunner(source, ServeConfig()) as runner:
+            client = ServeClient(runner.port, timeout=5.0)
+            try:
+                for path in ("/classify", "/deposit"):
+                    status, _, body = client.post(path, {"xml": "<a>&#x"})
+                    assert status == 400, (path, body)
+                    assert "empty hexadecimal character reference" in body["error"]
+                assert client.post("/classify", {"xml": PROBE})[0] == 200
+                status, _, body = client.post("/deposit", {"xml": PROBE})
+                assert status == 200 and body["applied_index"] == 1
+            finally:
+                client.close()
+        assert source.documents_processed == 1
     finally:
         source.close()
 
