@@ -48,19 +48,12 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
+    runtime_checkable,
 )
-
-try:  # Protocol is typing-only plumbing; 3.9+ always has it
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - pre-3.8 fallback, never hit
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 
 from repro.xmltree.document import Document, Element
 from repro.xmltree.parser import parse_document

@@ -47,7 +47,7 @@ from typing import (
 
 from repro.obs.logging import current_request_id
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import SpanRecord
+from repro.obs.tracing import SpanCollector, SpanRecord
 
 __all__ = [
     "Sampler",
@@ -198,49 +198,27 @@ def build_request_spans(
     ``write.apply``) become its direct children; ``engine_records``
     (raw :data:`SpanRecord` tuples drained from a
     :class:`~repro.obs.tracing.SpanCollector` during the applied op)
-    are grafted under the last phase with ids remapped into the local
-    allocation so the whole tree stays unique and resolvable.  Every
-    span is stamped with ``request_id`` — the join key to log lines and
+    are grafted under the last phase.  All three levels go through
+    :meth:`~repro.obs.tracing.Tracer.splice`, so ids are allocated once
+    and the whole tree stays unique and resolvable.  Every span is
+    stamped with ``request_id`` — the join key to log lines and
     metrics.
     """
-    root_attrs = {
-        "request_id": request_id,
-        "method": method,
-        "status": status,
-    }
-    spans: List[SpanRecord] = [
-        (1, None, f"request.{endpoint}", start_ns, end_ns, root_attrs)
+    tree = SpanCollector(trace_id="")
+    root = (
+        1, None, f"request.{endpoint}", start_ns, end_ns,
+        {"method": method, "status": status},
+    )
+    tree.splice([root], request_id=request_id)
+    phase_records = [
+        (index, None, name, phase_start, phase_end, attrs)
+        for index, (name, phase_start, phase_end, attrs) in enumerate(phases)
     ]
-    next_id = 2
-    graft_parent = 1
-    for name, phase_start, phase_end, attrs in phases:
-        merged = dict(attrs)
-        merged["request_id"] = request_id
-        spans.append((next_id, 1, name, phase_start, phase_end, merged))
-        graft_parent = next_id
-        next_id += 1
-    engine_batch = list(engine_records)
-    if engine_batch:
-        remap: Dict[int, int] = {}
-        for record in engine_batch:
-            remap[record[0]] = next_id
-            next_id += 1
-        for old_id, old_parent, name, span_start, span_end, attrs in engine_batch:
-            merged = dict(attrs)
-            merged["request_id"] = request_id
-            spans.append(
-                (
-                    remap[old_id],
-                    remap.get(old_parent, graft_parent)
-                    if old_parent is not None
-                    else graft_parent,
-                    name,
-                    span_start,
-                    span_end,
-                    merged,
-                )
-            )
-    return tuple(spans)
+    # the root is id 1 and the phases follow it, so the last phase's id
+    # is one past the number of phases grafted
+    last_phase = 1 + tree.splice(phase_records, parent_id=1, request_id=request_id)
+    tree.splice(engine_records, parent_id=last_phase, request_id=request_id)
+    return tuple(tree.take_records())
 
 
 class SpanRing:

@@ -5,10 +5,10 @@ A :class:`MetricsRegistry` is a flat namespace of instruments keyed by
 ``(name, labels)``.  It *wraps* the engine's
 :class:`~repro.perf.PerfCounters` rather than replacing them:
 :meth:`MetricsRegistry.update_from_perf` mirrors a ``perf_snapshot()``
-into ``repro_perf_*`` counters (the snapshot's own semantics —
-monotone, merged duplicate-safe, mirrored by ``subscribe_counters`` —
-are untouched), and :meth:`MetricsRegistry.observe_spans` folds a
-tracer's finished spans into per-span-name latency histograms.
+into ``repro_perf_*`` counters (the snapshot stays the one source of
+counts; the registry only copies it), and
+:meth:`MetricsRegistry.observe_spans` folds a tracer's finished spans
+into per-span-name latency histograms.
 :meth:`MetricsRegistry.expose` renders the whole registry as Prometheus
 text exposition (format 0.0.4).
 

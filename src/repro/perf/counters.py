@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, NamedTuple
+from typing import Dict, Iterator, NamedTuple
 
 
 class FastPathConfig(NamedTuple):
@@ -66,8 +66,8 @@ class FastPathConfig(NamedTuple):
 
 
 #: wall-clock phase timers (integer nanoseconds); they live in the same
-#: snapshot/merge machinery as the counters, so event ``perf_delta``s
-#: carry them with no extra plumbing.
+#: snapshot as the counters, so every reader of ``perf_snapshot()``
+#: sees them with no extra plumbing.
 #: ``snapshot_serialize_ns`` times serve's snapshot publishes (the
 #: fingerprint plus the classifier build) and is accumulated directly
 #: by :class:`repro.serve.holder.SnapshotHolder` (not via
@@ -112,14 +112,14 @@ class PerfCounters:
     and the evolution phase, so a single snapshot describes the whole
     pipeline.  Counting is unconditional and cheap (integer increments);
     benchmarks and tests read the counters to assert the fast paths
-    actually fire.
-
-    Deltas produced elsewhere (the ``perf_delta`` an event carries)
-    fold in through :meth:`merge`, which is plain commutative addition.
+    actually fire.  This is the one counting path: nothing re-derives
+    these counts elsewhere, and every reader (``--report-perf``,
+    ``/metrics``, the benchmark ledger) takes
+    ``XMLSource.perf_snapshot()``.
 
     Timers (:data:`TIMER_NAMES`) accumulate monotonic wall-clock
     nanoseconds via the :meth:`timer` context manager.  They are plain
-    monotone integers, so snapshot and merge apply to them unchanged;
+    monotone integers, so snapshot and reset apply to them unchanged;
     nested spans of the *same* timer count once (only
     the outermost span accumulates), while differently named spans may
     overlap freely (``evolve_ns`` wraps the per-phase timers, so it is
@@ -220,15 +220,6 @@ class PerfCounters:
     def timings(self) -> Dict[str, int]:
         """The timer fields alone (nanoseconds), for phase reporting."""
         return {name: getattr(self, name) for name in TIMER_NAMES}
-
-    def merge(self, delta: Mapping[str, int]) -> Dict[str, int]:
-        """Add an externally produced counter delta into this one
-        (commutative: merging deltas in any order yields the same
-        totals).  Returns the increments actually applied (sparse)."""
-        applied = {name: value for name, value in delta.items() if value}
-        for name, increment in applied.items():
-            setattr(self, name, getattr(self, name) + increment)
-        return applied
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.snapshot().items() if v)

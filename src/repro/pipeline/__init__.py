@@ -21,7 +21,6 @@ from repro.pipeline.events import (
     EvolutionFinished,
     EvolutionStarted,
     RepositoryDrained,
-    subscribe_counters,
 )
 from repro.pipeline.stages import (
     CheckStage,
@@ -45,7 +44,6 @@ __all__ = [
     "EvolutionStarted",
     "EvolutionFinished",
     "RepositoryDrained",
-    "subscribe_counters",
     "Stage",
     "Pipeline",
     "ClassifyStage",

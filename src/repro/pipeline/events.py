@@ -2,10 +2,10 @@
 
 Every phase transition of the Figure-1 loop is announced on an
 :class:`EventBus` as a typed, immutable event.  The engine's own
-bookkeeping — the evolution log, bus-mirrored perf counters — rides the
-same seam user observers do, so anything a future observability layer
-needs (metrics export, audit trails, replication hooks) subscribes
-without touching the pipeline:
+bookkeeping — the evolution log — rides the same seam user observers
+do, so anything a future observability layer needs (drift telemetry,
+audit trails, replication hooks) subscribes without touching the
+pipeline:
 
     source.events.subscribe(EvolutionFinished, on_evolution)
     source.events.subscribe_all(audit_logger)
@@ -21,27 +21,20 @@ Event catalogue, in emission order for one processed document::
                                         standalone drains, e.g.
                                         ``mine_repository``)
 
-Each event carries ``perf_delta`` — the fast-path counter increments
-(:class:`repro.perf.PerfCounters` keys) attributed to the work since the
-previous event.  Summing the deltas reproduces the engine's counters
-exactly; :func:`subscribe_counters` does that into a ``PerfCounters`` of
-your own.
+Events carry decisions, not counts: the fast-path counters live on
+:class:`repro.perf.PerfCounters` alone and are read through
+``XMLSource.perf_snapshot()``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Type
+from typing import Callable, Dict, List, NamedTuple, Optional, Type
 
 from repro.classification.classifier import ClassificationResult
 from repro.core.evolution import EvolutionResult
 from repro.pipeline.context import EvolutionEvent
-from repro.perf import PerfCounters
 from repro.xmltree.document import Document
-
-#: the empty delta shared by default-constructed events
-_NO_DELTA: Mapping[str, int] = {}
 
 
 class DocumentClassified(NamedTuple):
@@ -53,7 +46,6 @@ class DocumentClassified(NamedTuple):
     dtd_name: Optional[str]
     similarity: float
     accepted: bool
-    perf_delta: Mapping[str, int] = _NO_DELTA
     #: the full :class:`ClassificationResult` (ranking, evaluation) —
     #: observers that only need the decision can ignore it
     result: Optional[ClassificationResult] = None
@@ -66,7 +58,6 @@ class DocumentDeposited(NamedTuple):
     similarity: float
     #: repository size after the deposit
     repository_size: int
-    perf_delta: Mapping[str, int] = _NO_DELTA
 
 
 class DocumentRecorded(NamedTuple):
@@ -77,7 +68,6 @@ class DocumentRecorded(NamedTuple):
     #: documents recorded in the current recording period, this one
     #: included
     documents_recorded: int
-    perf_delta: Mapping[str, int] = _NO_DELTA
 
 
 class EvolutionStarted(NamedTuple):
@@ -86,7 +76,6 @@ class EvolutionStarted(NamedTuple):
     dtd_name: str
     documents_recorded: int
     activation_score: float
-    perf_delta: Mapping[str, int] = _NO_DELTA
 
 
 class EvolutionFinished(NamedTuple):
@@ -98,7 +87,6 @@ class EvolutionFinished(NamedTuple):
     result: EvolutionResult
     documents_recorded: int
     activation_score: float
-    perf_delta: Mapping[str, int] = _NO_DELTA
 
 
 class RepositoryDrained(NamedTuple):
@@ -113,7 +101,6 @@ class RepositoryDrained(NamedTuple):
     #: documents still unclassified after the pass
     remaining: int
     evolution: Optional[EvolutionEvent] = None
-    perf_delta: Mapping[str, int] = _NO_DELTA
 
 
 #: every event type the pipeline emits, in first-possible-emission order
@@ -198,36 +185,3 @@ class EventBus:
             return sum(map(len, self._handlers.values())) + len(self._catch_all)
         return len(self._handlers.get(event_type, [])) + len(self._catch_all)
 
-
-#: how many recently applied events the counter mirror remembers for
-#: duplicate suppression (strong references, so ``id()`` cannot recycle
-#: within the window)
-_SEEN_EVENT_WINDOW = 256
-
-
-def subscribe_counters(bus: EventBus, counters: PerfCounters) -> Handler:
-    """Mirror the pipeline's perf deltas into ``counters``.
-
-    After any sequence of engine calls, the mirrored counters equal the
-    directly wired ones (``XMLSource.perf_snapshot()``) — the bus is a
-    complete account of the fast-path work.  The mirror is
-    duplicate-safe: an event object replayed onto the bus (an observer
-    re-emitting for another bus) is applied at most once within a
-    bounded recency window.  Returns the installed handler (detach with
-    ``bus.unsubscribe_all(handler)``).
-    """
-    seen: "OrderedDict[int, object]" = OrderedDict()
-
-    def apply_delta(event: object) -> None:
-        delta = getattr(event, "perf_delta", None)
-        if not delta:
-            return
-        key = id(event)
-        if seen.get(key) is event:
-            return  # the same event object, replayed — already counted
-        seen[key] = event
-        while len(seen) > _SEEN_EVENT_WINDOW:
-            seen.popitem(last=False)
-        counters.merge(delta)
-
-    return bus.subscribe_all(apply_delta)

@@ -28,16 +28,7 @@ unchanged).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - pre-3.8 fallback, never hit
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from typing import TYPE_CHECKING, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.evolution import EvolutionConfig, evolve_dtd
 from repro.obs.logging import current_request_id as _current_request_id
@@ -72,7 +63,7 @@ class Stage(Protocol):
 
 class _SourceStage:
     """Shared plumbing: every stage sees the source and the pipeline
-    (for the bus and the perf-delta bookkeeping)."""
+    (for the bus)."""
 
     name = "stage"
 
@@ -109,7 +100,6 @@ class ClassifyStage(_SourceStage):
                 classification.dtd_name,
                 classification.similarity,
                 classification.accepted,
-                self.pipeline.perf_delta(),
                 result=classification,
             )
         )
@@ -117,10 +107,7 @@ class ClassifyStage(_SourceStage):
             source.repository.add(document)
             self.pipeline.emit(
                 DocumentDeposited(
-                    document,
-                    classification.similarity,
-                    len(source.repository),
-                    self.pipeline.perf_delta(),
+                    document, classification.similarity, len(source.repository)
                 )
             )
             ctx.halt()
@@ -147,10 +134,7 @@ class RecordStage(_SourceStage):
         source.recorders[name].record(ctx.document, evaluation)
         self.pipeline.emit(
             DocumentRecorded(
-                ctx.document,
-                name,
-                source.extended[name].document_count,
-                self.pipeline.perf_delta(),
+                ctx.document, name, source.extended[name].document_count
             )
         )
 
@@ -217,13 +201,8 @@ class EvolveStage(_SourceStage):
         documents_recorded = extended.document_count
         activation_score = extended.activation_score
         self.pipeline.emit(
-            EvolutionStarted(
-                name, documents_recorded, activation_score, self.pipeline.perf_delta()
-            )
+            EvolutionStarted(name, documents_recorded, activation_score)
         )
-        # the timer closes before EvolutionFinished is emitted, so its
-        # wall-clock rides that event's perf_delta (the subscribe_counters
-        # mirror must reconstruct perf_snapshot() exactly)
         with source.perf.timer("evolve_ns"):
             result = evolve_dtd(
                 extended,
@@ -236,13 +215,7 @@ class EvolveStage(_SourceStage):
         source._install(result.new_dtd)
         source.extended[name].evolution_count = extended.evolution_count + 1
         self.pipeline.emit(
-            EvolutionFinished(
-                name,
-                result,
-                documents_recorded,
-                activation_score,
-                self.pipeline.perf_delta(),
-            )
+            EvolutionFinished(name, result, documents_recorded, activation_score)
         )
         ctx.pending_evolution = (name, documents_recorded, activation_score, result)
         ctx.evolved.append(name)
@@ -322,11 +295,7 @@ class DrainStage(_SourceStage):
             ctx.evolution_events.append(event)
             ctx.pending_evolution = None
         ctx.recovered += recovered
-        self.pipeline.emit(
-            RepositoryDrained(
-                recovered, len(source.repository), event, self.pipeline.perf_delta()
-            )
-        )
+        self.pipeline.emit(RepositoryDrained(recovered, len(source.repository), event))
 
     def _drain_scan(
         self,
@@ -448,8 +417,6 @@ class Pipeline:
             self.evolve_stage,
             self.drain_stage,
         )
-        #: counter values already attributed to an emitted event
-        self._perf_attributed: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -457,17 +424,6 @@ class Pipeline:
 
     def emit(self, event: object) -> None:
         self.bus.emit(event)
-
-    def perf_delta(self) -> Dict[str, int]:
-        """Counter increments since the previous emitted event (sparse:
-        zero entries are dropped), attributing them to the next one."""
-        snapshot = self.source.perf.snapshot()
-        delta = {
-            name: value - self._perf_attributed.get(name, 0)
-            for name, value in snapshot.items()
-        }
-        self._perf_attributed = snapshot
-        return {name: value for name, value in delta.items() if value}
 
     # ------------------------------------------------------------------
     # Entry points

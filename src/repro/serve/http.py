@@ -2,10 +2,11 @@
 
 Deliberately ``http.server``-grade: just enough of RFC 7230 for a JSON
 service on a trusted network segment — request-line + header parsing
-with hard size limits, ``Content-Length`` bodies (no chunked transfer
-coding), keep-alive by default for HTTP/1.1, and a tiny response
-builder.  No routing framework, no middleware; the service routes by
-``(method, path)`` itself.
+with hard size limits, ``Content-Length`` bodies (no transfer coding:
+a request naming one is refused, as are a malformed or conflicting
+``Content-Length``, per RFC 7230 §3.3), keep-alive by default for
+HTTP/1.1, and a tiny response builder.  No routing framework, no
+middleware; the service routes by ``(method, path)`` itself.
 
 Everything here is transport: :class:`HttpError` is how handlers signal
 a non-200 outcome (the connection loop renders it as the standard JSON
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -33,10 +35,12 @@ __all__ = [
 
 #: request-line / single-header size cap (bytes)
 MAX_LINE = 8192
-#: header count cap
+#: header line cap (repeated names count once per line)
 MAX_HEADERS = 64
 #: request body cap (bytes) — XML documents are small; 8 MiB is generous
 MAX_BODY = 8 * 1024 * 1024
+#: ``Content-Length = 1*DIGIT`` (RFC 7230 §3.3.2): ASCII digits only
+_DIGITS = re.compile(r"[0-9]+")
 
 REASONS = {
     200: "OK",
@@ -81,6 +85,7 @@ class Request:
         self.path = path
         self.version = version
         #: header names lower-cased; duplicate headers keep the last value
+        #: (a repeated ``Content-Length`` must repeat the same value)
         self.headers = headers
         self.body = body
         #: the raw query string (no leading ``?``); routing ignores it
@@ -140,24 +145,29 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     if version not in ("HTTP/1.0", "HTTP/1.1"):
         raise HttpError(400, f"unsupported protocol {version}")
     headers: Dict[str, str] = {}
-    for _ in range(MAX_HEADERS + 1):
+    for count in range(MAX_HEADERS + 1):
         line = await _read_line(reader)
         if not line:
             break
-        if len(headers) >= MAX_HEADERS:
+        if count == MAX_HEADERS:
             raise HttpError(400, "too many headers")
         name, separator, value = line.decode("latin-1").partition(":")
         if not separator:
             raise HttpError(400, "malformed header")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise HttpError(400, "transfer codings are not supported")
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
+        if not _DIGITS.fullmatch(length_header):
+            raise HttpError(400, "malformed Content-Length")
         try:
             length = int(length_header)
-        except ValueError:
-            raise HttpError(400, "malformed Content-Length")
-        if length < 0:
+        except ValueError:  # past int()'s limit of 4,300 digits
             raise HttpError(400, "malformed Content-Length")
         if length > MAX_BODY:
             raise HttpError(413, "request body too large")
@@ -166,8 +176,6 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 raise HttpError(400, "truncated request body")
-    elif headers.get("transfer-encoding"):
-        raise HttpError(400, "chunked transfer coding not supported")
     # strip any query string; the service routes on the bare path
     path, _, query = target.partition("?")
     return Request(method, path, version, headers, body, query)

@@ -295,8 +295,9 @@ class ReproService:
 
     async def stop(self) -> None:
         """Graceful shutdown: refuse new writes, drain every accepted
-        one, give open connections a grace period, checkpoint, release
-        the pools.  Idempotent."""
+        one, give open connections a grace period (then cancel them),
+        checkpoint, release the pools without waiting for a stuck
+        read.  Idempotent."""
         if self._server is None:
             return
         self._closing = True
@@ -306,7 +307,6 @@ class ReproService:
         self.source.events.unsubscribe(EvolutionFinished, self._count_evolution)
         server, self._server = self._server, None
         server.close()
-        await server.wait_closed()
         # a suspended writer must resume, or accepted ops would hang
         self._write_gate.set()
         await self._write_queue.join()
@@ -321,9 +321,13 @@ class ReproService:
             )
             for task in pending:
                 task.cancel()
+        # only now: since Python 3.12.1 this waits for every open
+        # connection, including deposits that waited on the writer
+        await server.wait_closed()
         await self._loop.run_in_executor(self._writer_executor, self._checkpoint)
         self._writer_executor.shutdown(wait=True)
-        self._reader_executor.shutdown(wait=True)
+        # a read has no effect to lose, so a stuck one is not waited for
+        self._reader_executor.shutdown(wait=False, cancel_futures=True)
         if self.drift is not None:
             self.drift.detach()
         if self.sink is not None:

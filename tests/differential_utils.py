@@ -38,9 +38,9 @@ COMPARED = (
 
 
 def event_view(event):
-    """An event's comparable projection (``perf_delta`` excluded — the
-    totals are compared through ``perf_snapshot()``; ``result`` compared
-    separately through the ranking/evaluation views)."""
+    """An event's comparable projection (``result`` is compared
+    separately through the ranking/evaluation views; counts are compared
+    through ``perf_snapshot()``)."""
     if isinstance(event, DocumentClassified):
         return (
             "classified",

@@ -1,7 +1,7 @@
 """Tests for the staged pipeline and its lifecycle event bus
-(repro.pipeline): stage composition, event sequences, bus-mirrored perf
-counters, injected classifications, and the memory-vs-sqlite store
-equivalence of the full engine.
+(repro.pipeline): stage composition, event sequences, injected
+classifications, and the memory-vs-sqlite store equivalence of the full
+engine.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
-from repro.perf import TIMER_NAMES, PerfCounters
+from repro.perf import TIMER_NAMES
 from repro.pipeline import (
     LIFECYCLE_EVENTS,
     DocumentClassified,
@@ -25,7 +25,6 @@ from repro.pipeline import (
     Pipeline,
     RepositoryDrained,
     Stage,
-    subscribe_counters,
 )
 from repro.pipeline.context import PipelineContext
 from repro.triggers.trigger import TriggerSet
@@ -289,39 +288,6 @@ class TestLifecycleEvents:
         for document in documents:
             source.process(document)
         assert {type(event) for event in observed.events} == set(LIFECYCLE_EVENTS)
-
-
-# ----------------------------------------------------------------------
-# Perf counters over the bus
-# ----------------------------------------------------------------------
-
-
-class TestPerfOverBus:
-    def _assert_bus_matches_direct(self, source, documents):
-        mirrored = PerfCounters()
-        subscribe_counters(source.events, mirrored)
-        for document in documents:
-            source.process(document)
-        assert mirrored.snapshot() == source.perf_snapshot()
-        assert mirrored.documents_classified > 0
-
-    def test_deltas_reproduce_direct_wiring(self):
-        self._assert_bus_matches_direct(_source(), figure3_workload(15, 15, seed=11))
-
-    def test_deltas_cover_deposits_and_drains(self):
-        source = _source(sigma=0.6, tau=0.01, min_documents=5)
-        documents = [
-            parse_document("<a>" + "<b>x</b><c>y</c>" * 2 + "<d>z</d></a>")
-            for _ in range(6)
-        ] + [parse_document("<a><b>x</b><c>y</c><c>y</c></a>") for _ in range(6)]
-        self._assert_bus_matches_direct(source, documents)
-
-    def test_deltas_are_sparse(self):
-        source = _source()
-        observed = _Recorder(source)
-        source.process(parse_document("<a><b>x</b><c>y</c></a>"))
-        for event in observed.events:
-            assert all(value != 0 for value in event.perf_delta.values())
 
 
 # ----------------------------------------------------------------------

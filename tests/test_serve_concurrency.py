@@ -16,7 +16,8 @@ Four properties, each probed over real sockets with racing threads:
    either thread without wedging it.
 4. **Graceful shutdown** — every *accepted* write completes before the
    service stops, the final checkpoint reflects it, and a disk-backed
-   store survives for crash-resume.
+   store survives for crash-resume; neither a stuck read nor an idle
+   keep-alive client holds the shutdown past its grace period.
 
 Plus the store-warning regression: checkpoints surface (never swallow)
 the ``store_kind()`` unknown-backend ``RuntimeWarning``.
@@ -31,8 +32,11 @@ the ``store_kind()`` unknown-backend ``RuntimeWarning``.
 
 from __future__ import annotations
 
+import http.client
+import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -495,6 +499,73 @@ def test_graceful_shutdown_loses_no_accepted_deposit(tmp_path):
     finally:
         resumed.close()
     source.close()
+
+
+def test_shutdown_does_not_wait_for_a_stuck_read(tmp_path, monkeypatch):
+    """A /classify whose reader never returns does not hold shutdown:
+    the waiting connection is cancelled after the grace period, the
+    checkpoint is written, and the reader pool is released without
+    waiting — a read has no effect to lose."""
+    from repro.serve.service import ReproService
+
+    entered = threading.Event()
+    release = threading.Event()
+
+    def stuck_classify(self, snapshot, xml):
+        entered.set()
+        release.wait(timeout=60)
+        raise RuntimeError("released after shutdown")
+
+    monkeypatch.setattr(ReproService, "_classify_against", stuck_classify)
+    checkpoint = str(tmp_path / "state.json")
+    source = figure3_source()
+    runner = ServiceRunner(
+        source, ServeConfig(checkpoint_path=checkpoint, shutdown_grace=0.2)
+    ).start()
+    outcomes = []
+
+    def classify():
+        client = ServeClient(runner.port, timeout=30)
+        try:
+            outcomes.append(client.post("/classify", {"xml": PROBE})[0])
+        except (http.client.HTTPException, OSError) as error:
+            outcomes.append(type(error).__name__)
+        finally:
+            client.close()
+
+    thread = threading.Thread(target=classify)
+    thread.start()
+    try:
+        assert entered.wait(timeout=10)
+        runner.submit(runner.service.stop()).result(timeout=10)
+        assert runner.service.checkpoints == 1
+        assert os.path.exists(checkpoint)
+    finally:
+        release.set()
+        runner.stop()
+        thread.join(timeout=30)
+        source.close()
+    # the cancelled connection closed without an answer
+    assert outcomes and outcomes[0] != 200
+
+
+def test_shutdown_returns_with_an_idle_keep_alive_client():
+    """An idle keep-alive connection is cancelled after the grace period
+    instead of holding shutdown open (``Server.wait_closed`` waits for
+    every open connection since Python 3.12.1)."""
+    grace = 0.5
+    source = figure3_source()
+    runner = ServiceRunner(source, ServeConfig(shutdown_grace=grace)).start()
+    client = ServeClient(runner.port)
+    try:
+        assert client.get("/healthz")[0] == 200  # stays open, idle
+        started = time.monotonic()
+        runner.submit(runner.service.stop()).result(timeout=10)
+        assert time.monotonic() - started < grace + 3.0
+    finally:
+        client.close()
+        runner.stop()
+        source.close()
 
 
 # ----------------------------------------------------------------------
