@@ -24,9 +24,9 @@ Quickstart::
 Subpackages: :mod:`repro.xmltree` and :mod:`repro.dtd` (substrates),
 :mod:`repro.similarity` (classification measure), :mod:`repro.mining`
 (association rules), :mod:`repro.core` (recording + evolution + the
-pipeline engine), :mod:`repro.pipeline` (the staged Figure-1 loop and
-its lifecycle event bus), :mod:`repro.classification` (classifier,
-repository, pluggable document stores), :mod:`repro.generators`,
+engine that runs the Figure-1 loop), :mod:`repro.pipeline` (the loop's
+lifecycle event bus), :mod:`repro.classification` (classifier,
+repository, the memory and sqlite document stores), :mod:`repro.generators`,
 :mod:`repro.baselines`, :mod:`repro.metrics`.
 """
 
@@ -67,7 +67,7 @@ from repro.core import (
     build_structure,
     XMLSource,
 )
-from repro.pipeline import EventBus, Pipeline
+from repro.pipeline import EventBus
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
@@ -97,7 +97,6 @@ __all__ = [
     "DocumentStore",
     "MemoryStore",
     "EventBus",
-    "Pipeline",
     "ExtendedDTD",
     "Recorder",
     "Window",

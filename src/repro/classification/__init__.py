@@ -12,7 +12,7 @@ numeric rank in the range [0, 1]."
 - :class:`~repro.classification.repository.Repository` holds the
   documents no DTD describes well enough, for later re-classification
   against the evolved DTD set;
-- :mod:`repro.classification.stores` supplies the pluggable storage
+- :mod:`repro.classification.stores` supplies the two storage
   backends the repository delegates to (in-memory, or persisted in
   sqlite).
 """

@@ -7,16 +7,16 @@ whether the similarity is now above the threshold ``sigma`` for some DTD
 in the source so that the document can be considered as instance of such
 DTD."
 
-The repository itself is policy only; the actual document storage is a
-pluggable :class:`~repro.classification.stores.DocumentStore` (in-memory
-by default, persisted and indexed via
+The repository itself is policy only; the actual document storage is
+one of the two :class:`~repro.classification.stores.DocumentStore`
+backends (:class:`~repro.classification.stores.MemoryStore` by default,
+persisted and indexed via
 :class:`~repro.classification.stores.SqliteStore`).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import ContextManager, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.classification.stores import (
     CandidateRow,
@@ -25,7 +25,6 @@ from repro.classification.stores import (
     MemoryStore,
 )
 from repro.xmltree.document import Document
-from repro.xmltree.serializer import serialize_document
 
 
 class Repository:
@@ -44,7 +43,7 @@ class Repository:
         """True when the backing store can answer a pruned drain with an
         index query (see :class:`~repro.classification.stores.SqliteStore`)
         instead of a whole-repository scan."""
-        return bool(getattr(self._store, "supports_indexed_drain", False))
+        return self._store.supports_indexed_drain
 
     def candidates(self, query: DrainQuery) -> List[Tuple[int, CandidateRow]]:
         """Index-selected ``(insertion id, profile row)`` candidate pairs
@@ -66,21 +65,13 @@ class Repository:
         self._store.add(document)
 
     def add_many(self, documents: Iterable[Document]) -> None:
-        """Bulk deposit: one flush/transaction on capable stores, a plain
-        loop of :meth:`add` on stores without the capability."""
-        bulk_add = getattr(self._store, "add_many", None)
-        if bulk_add is not None:
-            bulk_add(documents)
-        else:
-            for document in documents:
-                self._store.add(document)
+        """Bulk deposit: one transaction on sqlite."""
+        self._store.add_many(documents)
 
-    def bulk(self):
-        """A batched-ingestion window: per-document durability work is
-        deferred until the window closes on stores that support it, and
-        a no-op context manager otherwise."""
-        window = getattr(self._store, "bulk", None)
-        return window() if window is not None else nullcontext(self)
+    def bulk(self) -> ContextManager[DocumentStore]:
+        """A batched-ingestion window: sqlite defers its per-document
+        commit until the outermost window closes."""
+        return self._store.bulk()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -90,17 +81,9 @@ class Repository:
 
     def texts(self) -> Iterator[str]:
         """Each held document's ``serialize_document(d,
-        xml_declaration=False)`` text, in insertion order: the store's
-        own :meth:`~repro.classification.stores.DocumentStore.texts`
-        (disk-backed stores copy what they wrote, without parsing), or
-        a serialization of each document on stores without it."""
-        texts = getattr(self._store, "texts", None)
-        if texts is not None:
-            return texts()
-        return (
-            serialize_document(document, xml_declaration=False)
-            for document in self._store
-        )
+        xml_declaration=False)`` text, in insertion order (sqlite copies
+        what it wrote, without parsing)."""
+        return self._store.texts()
 
     def is_empty(self) -> bool:
         return len(self._store) == 0

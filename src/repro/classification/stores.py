@@ -1,12 +1,12 @@
-"""Pluggable document stores backing the repository.
+"""The two document stores backing the repository.
 
 The repository of Section 2 is, operationally, an ordered multiset of
 documents with exactly three lifecycle operations: *deposit* (a document
 no DTD describes well enough), *inspection* (iteration for clustering,
 and :meth:`~DocumentStore.texts` — the stored text, unparsed — for
 snapshots), and *drain* (remove every document for re-classification
-after an evolution).  :class:`DocumentStore` captures that contract so
-the backing representation can vary without touching the pipeline:
+after an evolution).  :class:`DocumentStore` states that contract; two
+backends implement it, and :func:`make_store` accepts no other:
 
 - :class:`MemoryStore` — a plain in-process list (the seed behaviour),
   persisting nothing;
@@ -15,23 +15,18 @@ the backing representation can vary without touching the pipeline:
   post-evolution drain becomes an index lookup instead of a
   whole-repository scan.
 
-Write-path throughput: every backend accepts :meth:`add_many` (the bulk
-contract — semantically a loop of :meth:`add`, but batched under one
-transaction where the backend can) and a nestable ``bulk()`` context
-manager that defers per-document durability work (the sqlite commit)
-until the outermost window closes.  Callers that only know the
-protocol go through
-:meth:`~repro.classification.repository.Repository.add_many` /
-``Repository.bulk``, which degrade to the per-document path for stores
-without the capability.
+Write-path throughput: both accept :meth:`add_many` (the bulk contract
+— semantically a loop of :meth:`add`, but one transaction on sqlite)
+and a nestable ``bulk()`` context manager that defers per-document
+durability work (the sqlite commit) until the outermost window closes;
+in memory both are plain appends.
 
-Indexed capability (optional — duck-typed via
-``supports_indexed_drain``): a store that persists each document's
-tag-vocabulary profile can answer :meth:`SqliteStore.candidates` — the
-sound over-approximation of documents whose tier-3 acceptance bound
-against one DTD may be non-zero — plus :meth:`SqliteStore.fetch` and
-:meth:`SqliteStore.remove` by insertion id.  Plain stores simply lack
-the attribute and the drain falls back to the scan path.
+Indexed capability (``supports_indexed_drain``, true on sqlite only):
+the store persists each document's tag-vocabulary profile, so it can
+answer :meth:`SqliteStore.candidates` — the sound over-approximation of
+documents whose tier-3 acceptance bound against one DTD may be
+non-zero — plus :meth:`SqliteStore.fetch` and :meth:`SqliteStore.remove`
+by insertion id.  In memory the drain takes the scan path.
 """
 
 from __future__ import annotations
@@ -39,9 +34,9 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
-import warnings
 from contextlib import contextmanager
 from typing import (
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -141,25 +136,29 @@ class CandidateRow(NamedTuple):
 
 @runtime_checkable
 class DocumentStore(Protocol):
-    """The storage contract behind :class:`~repro.classification.repository.Repository`.
+    """The storage contract behind :class:`~repro.classification.repository.Repository`,
+    implemented by :class:`MemoryStore` and :class:`SqliteStore`.
 
     Implementations must preserve insertion order and must not copy
     semantics: a drained document is *gone* from the store (the sqlite
     store returns structurally identical re-parsed documents).
     """
 
+    #: whether :meth:`SqliteStore.candidates`, ``fetch`` and ``remove``
+    #: can answer a pruned drain (sqlite only)
+    supports_indexed_drain: bool
+
     def add(self, document: Document) -> None:
         """Append one document."""
 
     def add_many(self, documents: Iterable[Document]) -> None:
-        """Append documents in order — the bulk-ingestion contract.
+        """Append documents in order — the bulk-ingestion contract:
+        semantically identical to looping :meth:`add`, with the
+        durability work batched into one transaction on sqlite."""
 
-        Semantically identical to looping :meth:`add`; backends batch
-        the durability work (one transaction) where they can.  The
-        default loops :meth:`add`.
-        """
-        for document in documents:
-            self.add(document)
+    def bulk(self) -> ContextManager["DocumentStore"]:
+        """A nestable batched-ingestion window: per-document durability
+        work is deferred until the outermost window closes."""
 
     def __len__(self) -> int:
         """Number of documents currently held."""
@@ -170,13 +169,8 @@ class DocumentStore(Protocol):
     def texts(self) -> Iterator[str]:
         """The canonical text of each held document, in insertion order
         (no removal, no parse): ``serialize_document(d,
-        xml_declaration=False)`` — what snapshots copy.
-
-        The sqlite store returns the text it wrote at :meth:`add`.
-        The default serializes each document :meth:`__iter__` yields.
-        """
-        for document in self:
-            yield serialize_document(document, xml_declaration=False)
+        xml_declaration=False)`` — what snapshots copy.  The sqlite
+        store returns the text it wrote at :meth:`add`."""
 
     def drain(self) -> List[Document]:
         """Remove and return every held document, in insertion order."""
@@ -187,6 +181,8 @@ class DocumentStore(Protocol):
 
 class MemoryStore:
     """The in-RAM store — a plain ordered list (the seed behaviour)."""
+
+    supports_indexed_drain = False
 
     def __init__(self) -> None:
         self._documents: List[Document] = []
@@ -247,7 +243,7 @@ class SqliteStore:
     in the file for later inserts (no ``VACUUM``).
     """
 
-    #: advertises the indexed-drain capability (duck-typed by DrainStage)
+    #: the engine's drain pushes its candidate screen into the index
     supports_indexed_drain = True
 
     _SCHEMA = (
@@ -506,34 +502,21 @@ STORE_KINDS = ("memory", "sqlite")
 
 
 def store_kind(store: DocumentStore) -> str:
-    """The snapshot tag for a store instance.
-
-    Unknown third-party backends still persist as ``memory`` (the
-    documents themselves are always inlined in the snapshot, so nothing
-    is lost) — but loudly, so snapshots don't silently lie about their
-    store: a :class:`RuntimeWarning` carries the backend's repr.
-    """
-    if isinstance(store, SqliteStore):
-        return "sqlite"
-    if isinstance(store, MemoryStore):
-        return "memory"
-    warnings.warn(
-        f"unknown document-store backend {store!r}: the snapshot records it "
-        "as 'memory' and a load will not recreate the custom backend "
-        "(pass store= explicitly when loading)",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return "memory"
+    """The snapshot tag for a store instance: ``"sqlite"`` or
+    ``"memory"``."""
+    return "sqlite" if isinstance(store, SqliteStore) else "memory"
 
 
 def make_store(
-    spec: Union[None, str, DocumentStore] = None, path: Optional[str] = None
+    spec: Union[None, str, MemoryStore, SqliteStore] = None,
+    path: Optional[str] = None,
 ) -> DocumentStore:
     """Resolve a store spec: ``None``/``"memory"`` → :class:`MemoryStore`,
     ``"sqlite"`` → :class:`SqliteStore` (at ``path``, or a temporary
-    database the store deletes on close), and any :class:`DocumentStore`
-    instance passes through unchanged."""
+    database the store deletes on close), and a :class:`MemoryStore` or
+    :class:`SqliteStore` instance passes through unchanged.  An unknown
+    kind name raises ``ValueError``; any other object raises
+    ``TypeError`` — there is no third backend."""
     if spec is None or spec == "memory":
         return MemoryStore()
     if spec == "sqlite":
@@ -542,4 +525,9 @@ def make_store(
         raise ValueError(
             f"unknown store kind {spec!r} (expected one of {', '.join(STORE_KINDS)})"
         )
-    return spec
+    if isinstance(spec, (MemoryStore, SqliteStore)):
+        return spec
+    raise TypeError(
+        f"unsupported document store {spec!r} (expected a kind name, "
+        "a MemoryStore or a SqliteStore)"
+    )

@@ -323,8 +323,6 @@ def _serve_source(source, args: argparse.Namespace) -> None:
         file=sys.stderr,
     )
     service = serve_forever(source, config, duration=args.duration)
-    for caught in service.store_warnings:
-        print(f"store warning: {caught.message}", file=sys.stderr)
     save_source(source, args.state)
     print(
         f"served {service.applied_writes} writes, "

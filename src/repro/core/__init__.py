@@ -14,9 +14,9 @@ Modules, following the phases of Figure 1:
 - :mod:`repro.core.structure_builder` — exhaustive policy application
   rebuilding an element's declaration (new window);
 - :mod:`repro.core.evolution` — the evolution phase over a whole DTD;
-- :mod:`repro.core.engine` — the end-to-end source facade
-  (classify → record → check → evolve → re-classify repository), a thin
-  front over the composable stages of :mod:`repro.pipeline`.
+- :mod:`repro.core.engine` — the end-to-end source, which runs the loop
+  (classify → record → check → evolve → re-classify repository) and
+  announces each phase on a :mod:`repro.pipeline` event bus.
 """
 
 from repro.core.extended_dtd import ExtendedDTD, ElementRecord, ValidLabelStats, PlusLabelStats

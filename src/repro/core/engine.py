@@ -9,15 +9,14 @@ unclassified documents, and the iterated loop of the approach:
 "This cycle includes all the activities in our approach, but the ones
 in the initialization phase."
 
-The class is a thin facade: the loop itself lives in
-:mod:`repro.pipeline` as composable stages driven by a
-:class:`~repro.pipeline.stages.Pipeline`, every phase transition is
-announced on the :attr:`XMLSource.events` bus, and the repository's
-documents live in a pluggable
-:class:`~repro.classification.stores.DocumentStore` (in memory, or
-persisted in sqlite).  The facade keeps
-the paper's Figure-1 vocabulary — ``process`` *is* the cycle — while the
-pipeline underneath stays open for recomposition.
+The class runs the loop itself, one private method per phase
+(``_classify``, ``_record``, ``_check``, ``_evolve``, ``_drain``) called
+in Figure-1 order by :meth:`XMLSource.process`,
+:meth:`XMLSource.evolve_now` and :meth:`XMLSource.drain`.  Every phase
+transition is announced on the :attr:`XMLSource.events` bus — the
+engine's one observable seam — and the repository's documents live in
+one of two stores (:class:`~repro.classification.stores.MemoryStore`,
+or :class:`~repro.classification.stores.SqliteStore` on disk).
 
 Usage::
 
@@ -37,22 +36,42 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from repro.classification.classifier import ClassificationResult, Classifier
 from repro.classification.repository import Repository
-from repro.classification.stores import DocumentStore, make_store
-from repro.core.evolution import EvolutionConfig
+from repro.classification.stores import MemoryStore, SqliteStore, make_store
+from repro.core.evolution import EvolutionConfig, evolve_dtd
 from repro.core.extended_dtd import ExtendedDTD
 from repro.core.recorder import Recorder
 from repro.dtd.dtd import DTD
+from repro.obs.logging import current_request_id
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.perf import FastPathConfig, PerfCounters
-from repro.pipeline.context import EvolutionEvent, ProcessOutcome
-from repro.pipeline.events import EventBus, RepositoryDrained
-from repro.pipeline.stages import Pipeline
+from repro.pipeline.events import (
+    DocumentClassified,
+    DocumentDeposited,
+    DocumentRecorded,
+    EventBus,
+    EvolutionEvent,
+    EvolutionFinished,
+    EvolutionStarted,
+    ProcessOutcome,
+    RepositoryDrained,
+)
 from repro.similarity.matcher import StructureMatcher
 from repro.similarity.tags import TagMatcher
 from repro.similarity.triple import SimilarityConfig
 from repro.xmltree.document import Document
 
 __all__ = ["XMLSource", "ProcessOutcome", "EvolutionEvent"]
+
+#: perf counters surfaced as fast-path hit/miss span attributes on the
+#: ``stage.classify`` span of a traced document
+_FASTPATH_ATTRS = (
+    "validations",
+    "validity_short_circuits",
+    "structural_cache_hits",
+    "structural_cache_misses",
+    "bound_skips",
+    "dp_runs",
+)
 
 
 class XMLSource:
@@ -66,7 +85,7 @@ class XMLSource:
         auto_evolve: bool = True,
         triggers: Optional["TriggerSet"] = None,
         fastpath: Optional[FastPathConfig] = None,
-        store: Union[None, str, DocumentStore] = None,
+        store: Union[None, str, MemoryStore, SqliteStore] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.config = config
@@ -105,16 +124,15 @@ class XMLSource:
             self._install(self.classifier.dtd(name))
         #: unclassified documents, backed by the configured store
         #: (``None``/``"memory"`` in RAM, ``"sqlite"`` on disk with a tag
-        #: index, or any :class:`DocumentStore` instance)
+        #: index, or a :class:`MemoryStore`/:class:`SqliteStore`
+        #: instance; anything else raises ``TypeError``)
         self.repository = Repository(make_store(store))
         # a store built here from a kind name is this engine's to close;
         # an instance passed in stays the caller's
         self._owns_store = isinstance(store, str)
-        # stores that batch durability work (sqlite's batch commits)
-        # report it through the shared counters
-        attach_counters = getattr(self.repository.store, "set_counters", None)
-        if attach_counters is not None:
-            attach_counters(self.perf)
+        if isinstance(self.repository.store, SqliteStore):
+            # sqlite's batch commits count on the shared counters
+            self.repository.store.set_counters(self.perf)
         self.evolution_log: List[EvolutionEvent] = []
         #: check the activation condition after every document; turn off
         #: to drive evolution manually via :meth:`evolve_now`
@@ -129,8 +147,6 @@ class XMLSource:
         # the evolution log is itself a bus subscriber: every drain that
         # closes an evolution carries the completed log entry
         self.events.subscribe(RepositoryDrained, self._log_evolution)
-        #: the staged Figure-1 loop this facade delegates to
-        self.pipeline = Pipeline(self, self.events)
 
     def _install(self, dtd: DTD, extended: Optional[ExtendedDTD] = None) -> None:
         """Start recording against ``dtd``: a fresh :class:`ExtendedDTD`,
@@ -185,7 +201,7 @@ class XMLSource:
         return self.perf.snapshot()
 
     # ------------------------------------------------------------------
-    # The pipeline
+    # The Figure-1 loop
     # ------------------------------------------------------------------
 
     def classify(self, document: Document) -> ClassificationResult:
@@ -197,17 +213,146 @@ class XMLSource:
         document: Document,
         classification: Optional[ClassificationResult] = None,
     ) -> ProcessOutcome:
-        """Run one document through the full Figure-1 loop.
+        """Run one document through the full Figure-1 loop: classify
+        (a below-``sigma`` document is deposited and stops there),
+        record, check, and — when the check fires — evolve the DTD and
+        drain the repository against the evolved set.
 
         ``classification`` injects a precomputed result for this
         document against the *current* DTD set — ``process(d,
         classify(d))`` is ``process(d)`` with the classify call made by
-        the caller, so it can be timed on its own; the classify stage
+        the caller, so it can be timed on its own; the classify phase
         then skips the classifier call but deposits, records, checks
         and evolves exactly as usual.
         """
         self.documents_processed += 1
-        return self.pipeline.run(document, classification).outcome()
+        if self.tracer.enabled:
+            return self._process_traced(document, classification)
+        classification = self._classify(document, classification)
+        name = classification.dtd_name
+        if name is None:
+            return ProcessOutcome(document, None, classification.similarity, [], 0)
+        self._record(document, classification)
+        config = self._check(name)
+        if config is None:
+            return ProcessOutcome(document, name, classification.similarity, [], 0)
+        drained = self._drain(self._evolve(name, config))
+        return ProcessOutcome(
+            document, name, classification.similarity, [name], drained.recovered
+        )
+
+    def _process_traced(
+        self, document: Document, classification: Optional[ClassificationResult]
+    ) -> ProcessOutcome:
+        """:meth:`process` under observability spans: one ``doc`` root,
+        one ``stage.<phase>`` child per phase that ran, fast-path deltas
+        as classify-span attributes.  The phases and their order are
+        :meth:`process`'s — spans only observe."""
+        tracer = self.tracer
+        attrs = {"doc_id": self.documents_processed, "root": document.root.tag}
+        # the serve layer's correlation id, when this document arrived
+        # through a request (joins the span to log lines and metrics)
+        request_id = current_request_id()
+        if request_id is not None:
+            attrs["request_id"] = request_id
+        evolved: List[str] = []
+        recovered = 0
+        with tracer.span("doc", **attrs) as doc_span:
+            with tracer.span("stage.classify") as span:
+                if classification is not None:
+                    span.set("injected", True)
+                before = self.perf.snapshot()
+                classification = self._classify(document, classification)
+                for key in _FASTPATH_ATTRS:
+                    delta = getattr(self.perf, key) - before[key]
+                    if delta:
+                        span.set(key, delta)
+            name = classification.dtd_name
+            if name is not None:
+                with tracer.span("stage.record"):
+                    self._record(document, classification)
+                with tracer.span("stage.check"):
+                    config = self._check(name)
+                if config is not None:
+                    with tracer.span("stage.evolve"):
+                        finished = self._evolve(name, config)
+                    with tracer.span("stage.drain"):
+                        recovered = self._drain(finished).recovered
+                    evolved = [name]
+            doc_span.set("dtd", name)
+            if evolved:
+                doc_span.set("evolved", list(evolved))
+        return ProcessOutcome(
+            document, name, classification.similarity, evolved, recovered
+        )
+
+    def _classify(
+        self, document: Document, classification: Optional[ClassificationResult]
+    ) -> ClassificationResult:
+        """Classification phase: rank against every DTD and apply
+        ``sigma`` (unless the caller injected the result); a
+        below-threshold document is deposited in the repository."""
+        if classification is None:
+            classification = self.classifier.classify(document)
+        self.events.emit(
+            DocumentClassified(
+                document,
+                classification.dtd_name,
+                classification.similarity,
+                classification.accepted,
+                result=classification,
+            )
+        )
+        if not classification.accepted:
+            self.repository.add(document)
+            self.events.emit(
+                DocumentDeposited(
+                    document, classification.similarity, len(self.repository)
+                )
+            )
+        return classification
+
+    def _record(self, document: Document, classification: ClassificationResult) -> None:
+        """Recording phase: fold the document into its DTD's aggregates."""
+        name = classification.dtd_name
+        # With a thesaurus matcher, the classifier's evaluation scores
+        # synonym matches as (near-)valid — reusing it would hide the
+        # very deviations tag evolution needs.  Recording always uses
+        # exact tag matching (the recorder's own matcher); the cheap
+        # reuse path stays for the exact-matching default.
+        evaluation = classification.evaluation if self.tag_matcher is None else None
+        self.recorders[name].record(document, evaluation)
+        self.events.emit(
+            DocumentRecorded(document, name, self.extended[name].document_count)
+        )
+
+    def _check(self, name: str) -> Optional[EvolutionConfig]:
+        """Check phase: the configuration to evolve ``name`` with now,
+        or ``None`` to leave it.
+
+        With a trigger set installed, the first matching rule whose
+        condition holds fires (with its parameter overrides); otherwise
+        the paper's default check — ``min_documents`` recorded and
+        activation score above ``tau`` — applies.  Never fires while
+        ``auto_evolve`` is off.
+        """
+        if not self.auto_evolve:
+            return None
+        extended = self.extended[name]
+        if self.triggers is not None:
+            from repro.triggers.trigger import metrics_environment
+
+            environment = metrics_environment(extended, len(self.repository))
+            trigger = self.triggers.firing_trigger(name, environment)
+            if trigger is None:
+                return None
+            return trigger.apply_overrides(self.config)
+        if (
+            extended.document_count >= self.config.min_documents
+            and extended.should_evolve(self.config.tau)
+        ):
+            return self.config
+        return None
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Install (or, with ``None``, remove) the observability tracer,
@@ -236,9 +381,8 @@ class XMLSource:
         it.  Closing again is a no-op."""
         if self._owns_store:
             self._owns_store = False
-            close_store = getattr(self.repository.store, "close", None)
-            if close_store is not None:
-                close_store()
+            if isinstance(self.repository.store, SqliteStore):
+                self.repository.store.close()
 
     def __enter__(self) -> "XMLSource":
         return self
@@ -317,11 +461,215 @@ class XMLSource:
     def evolve_now(
         self, name: str, config: Optional[EvolutionConfig] = None
     ) -> EvolutionEvent:
-        """Force the evolution phase for one DTD (the check phase calls
-        this automatically when ``auto_evolve`` is on).  ``config``
-        overrides the source's evolution parameters for this run only
-        (trigger WITH clauses use it)."""
-        return self.pipeline.evolve(name, config)
+        """Force the evolution phase, and the repository drain after
+        it, for one DTD (the check phase fires it automatically when
+        ``auto_evolve`` is on).  ``config`` overrides the source's
+        evolution parameters for this run only (trigger WITH clauses
+        use it).  Returns the evolution-log entry."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return self._drain(self._evolve(name, config)).evolution
+        with tracer.span("evolve_now", dtd=name):
+            with tracer.span("stage.evolve"):
+                finished = self._evolve(name, config)
+            with tracer.span("stage.drain"):
+                return self._drain(finished).evolution
+
+    def drain(self) -> int:
+        """A standalone repository re-classification pass against the
+        current DTD set (``mine_repository`` runs one after adding
+        DTDs); returns how many documents were recovered."""
+        if not self.tracer.enabled:
+            return self._drain().recovered
+        with self.tracer.span("stage.drain", standalone=True):
+            return self._drain().recovered
+
+    def _evolve(
+        self, name: str, config: Optional[EvolutionConfig] = None
+    ) -> EvolutionFinished:
+        """Evolution phase: evolve ``name`` and adopt the result, which
+        starts a fresh recording period.  Returns the announced
+        :class:`EvolutionFinished`; the drain that follows completes the
+        log entry from it."""
+        extended = self.extended[name]
+        documents_recorded = extended.document_count
+        activation_score = extended.activation_score
+        self.events.emit(EvolutionStarted(name, documents_recorded, activation_score))
+        with self.perf.timer("evolve_ns"):
+            result = evolve_dtd(
+                extended,
+                config or self.config,
+                tag_matcher=self.tag_matcher,
+                counters=self.perf,
+            )
+        self.classifier.replace_dtd(result.new_dtd)
+        self._install(result.new_dtd)
+        self.extended[name].evolution_count = extended.evolution_count + 1
+        finished = EvolutionFinished(name, result, documents_recorded, activation_score)
+        self.events.emit(finished)
+        return finished
+
+    def _drain(self, evolution: Optional[EvolutionFinished] = None) -> RepositoryDrained:
+        """Repository re-classification: retry every held document
+        against the (evolved) DTD set.  Returns the announced
+        :class:`RepositoryDrained`, which carries the completed
+        :class:`EvolutionEvent` when the drain closes ``evolution``
+        (the evolution log subscribes on exactly that).
+
+        Recovered documents go through the normal record path (they are
+        now instances of a DTD and must count toward future triggers);
+        evolution is *not* re-triggered while draining, to keep the
+        drain a single pass.
+
+        **Pruning** (``FastPathConfig.pruned_drain``): a drain that
+        closes an evolution re-evaluates only the documents the
+        evolution could have flipped.  The invariant — every repository
+        document sat below ``sigma`` against *every* DTD when it was
+        last examined, and only the evolved DTD has changed since —
+        means a document whose sound vocabulary-overlap bound against
+        the evolved DTD stays below ``sigma`` is provably still
+        unclassifiable; it is put back without constructing a single
+        evaluation.  When the evolution changed no declaration at all,
+        every document is skipped outright.  Skipped documents re-enter
+        the repository in drain order, so the surviving order (and
+        every downstream artefact) is bit-identical to the unpruned
+        pass; standalone drains (after ``mine_repository`` adds
+        brand-new DTDs) never prune, because the invariant does not
+        cover DTDs the documents have not seen.
+
+        **Indexing**: when the store is index-capable (``SqliteStore``)
+        the bound-vs-sigma candidate set is pushed down as an index
+        query instead of scanning every document — see
+        :meth:`_drain_indexed` and DESIGN.md decision 12 for why the
+        results stay bit-identical and order-preserving.
+        """
+        prune_name: Optional[str] = None
+        prune_unchanged = False
+        if evolution is not None and self.fastpath.pruned_drain:
+            prune_name = evolution.dtd_name
+            prune_unchanged = not evolution.result.changed_declarations()
+        sigma = self.classifier.threshold
+        # The indexed path only applies when the bound-vs-sigma prune is
+        # live at all: a pruning drain (evolved DTD known), a sigma that
+        # can actually reject (``bound < sigma`` is unsatisfiable at
+        # sigma 0 since bounds are >= 0), an index-capable store, and a
+        # pushable query (exact semantics, no ANY).  Everything else
+        # classifies every document anyway, so the scan drain is both
+        # simpler and no slower.
+        query = None
+        indexed = (
+            prune_name is not None
+            and sigma > 0.0
+            and self.repository.supports_indexed_drain
+        )
+        if indexed and not prune_unchanged:
+            query = self.classifier.drain_query(prune_name)
+            indexed = query is not None
+        if indexed:
+            recovered = self._drain_indexed(prune_name, prune_unchanged, query, sigma)
+        else:
+            recovered = self._drain_scan(prune_name, prune_unchanged, sigma)
+        logged: Optional[EvolutionEvent] = None
+        if evolution is not None:
+            logged = EvolutionEvent(
+                evolution.dtd_name,
+                evolution.documents_recorded,
+                evolution.activation_score,
+                evolution.result,
+                recovered,
+            )
+        drained = RepositoryDrained(recovered, len(self.repository), logged)
+        self.events.emit(drained)
+        return drained
+
+    def _drain_scan(
+        self,
+        prune_name: Optional[str],
+        prune_unchanged: bool,
+        sigma: float,
+    ) -> int:
+        """The whole-repository drain: remove everything, classify what
+        the bound cannot rule out, re-add the rest in drain order."""
+        recovered = 0
+        with self.perf.timer("drain_ns"):
+            for document in self.repository.drain():
+                if prune_name is not None:
+                    bound = (
+                        0.0
+                        if prune_unchanged
+                        else self.classifier.acceptance_bound(document, prune_name)
+                    )
+                    if bound is not None and bound < sigma:
+                        self.repository.add(document)
+                        self.perf.drain_prune_skips += 1
+                        continue
+                classification = self.classifier.classify(document)
+                if classification.dtd_name is None:
+                    self.repository.add(document)
+                    continue
+                recovered += 1
+                evaluation = (
+                    classification.evaluation if self.tag_matcher is None else None
+                )
+                self.recorders[classification.dtd_name].record(document, evaluation)
+        return recovered
+
+    def _drain_indexed(
+        self,
+        prune_name: str,
+        prune_unchanged: bool,
+        query,
+        sigma: float,
+    ) -> int:
+        """The index-query drain: bit-identical to :meth:`_drain_scan`.
+
+        The store returns the sound candidate over-approximation (every
+        non-candidate provably has bound exactly 0.0 < sigma) in
+        insertion order; the exact bound is then recomputed *in Python*
+        from each candidate's persisted profile — the same float
+        arithmetic as ``acceptance_bound`` — so the classify-vs-skip
+        decisions match the scan path bit for bit.  Only recovered
+        documents are removed; skipped and still-failing documents are
+        never touched, so the surviving order is the original insertion
+        order restricted to survivors — exactly the scan path's
+        re-add-in-drain-order outcome.  An evolution that changed no
+        declaration skips the whole repository without reading a row.
+        """
+        recovered = 0
+        with self.perf.timer("drain_ns"):
+            total = len(self.repository)
+            classify_ids: List[int] = []
+            if not prune_unchanged:
+                candidates = self.repository.candidates(query)
+                self.perf.index_rows += len(candidates)
+                for doc_id, row in candidates:
+                    bound = self.classifier.bound_from_row(prune_name, row)
+                    if bound is not None and bound < sigma:
+                        continue
+                    classify_ids.append(doc_id)
+            self.perf.drain_prune_skips += total - len(classify_ids)
+            self.perf.drain_index_hits += 1
+            removed: List[int] = []
+            if classify_ids:
+                for doc_id, document in zip(
+                    classify_ids, self.repository.fetch(classify_ids)
+                ):
+                    classification = self.classifier.classify(document)
+                    if classification.dtd_name is None:
+                        continue
+                    removed.append(doc_id)
+                    recovered += 1
+                    evaluation = (
+                        classification.evaluation
+                        if self.tag_matcher is None
+                        else None
+                    )
+                    self.recorders[classification.dtd_name].record(
+                        document, evaluation
+                    )
+            if removed:
+                self.repository.remove(removed)
+        return recovered
 
     def mine_repository(
         self,
@@ -352,13 +700,8 @@ class XMLSource:
             self._install(dtd)
             names.append(dtd.name)
         if names:
-            self._reclassify_repository()
+            self.drain()
         return names
-
-    def _reclassify_repository(self) -> int:
-        """Re-classify repository documents against the evolved set
-        (one standalone pass of the drain stage)."""
-        return self.pipeline.drain()
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,7 @@ record, the document-level counters, and the repository — to plain
 JSON, and restores it into a fully working :class:`XMLSource`.
 
 The repository is read and restored through the
-:class:`~repro.classification.stores.DocumentStore` protocol: format 2
+:class:`~repro.classification.stores.DocumentStore` contract: format 2
 and 3 snapshots tag which backend held the documents (``memory`` or
 ``sqlite``), and loading re-materialises into a new store of that kind,
 owned by the restored source (one bulk ``add_many``, re-indexing as it
@@ -251,11 +251,14 @@ def source_from_json(
 ) -> XMLSource:
     """Restore a source snapshot (re-supply runtime collaborators).
 
-    ``store`` overrides the snapshot's repository backend (a kind name
-    or a :class:`~repro.classification.stores.DocumentStore` instance);
-    left ``None``, format-2/3 snapshots restore into a new store of the
-    kind they were saved from, which the restored source owns and
-    closes, and format-1 snapshots into memory.  A saved ``jsonl`` kind,
+    ``store`` overrides the snapshot's repository backend: a kind name,
+    or a :class:`~repro.classification.stores.MemoryStore` or
+    :class:`~repro.classification.stores.SqliteStore` instance (it goes
+    through :func:`~repro.classification.stores.make_store`, which
+    rejects anything else).  Left ``None``, format-2/3 snapshots restore
+    into a new store of the kind they were saved from, which the
+    restored source owns and closes, and format-1 snapshots into
+    memory.  A saved ``jsonl`` kind,
     from before that backend was removed, restores into ``sqlite``: the
     documents are inline in the snapshot, and sqlite keeps them
     off-heap as jsonl did.

@@ -12,7 +12,8 @@ setting does not assume).
 Content models are produced as operator trees
 (:mod:`repro.dtd.content_model`), i.e. directly in the paper's
 labeled-tree vocabulary: ``,`` becomes ``AND``, ``|`` becomes ``OR`` and
-the suffixes become unary operator vertices.
+the suffixes become unary operator vertices.  Groups nested deeper than
+:data:`MAX_DEPTH` are a :class:`~repro.errors.DTDSyntaxError`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from repro.dtd.dtd import DTD, AttributeDecl, ElementDecl
 from repro.xmltree.tree import Tree
 
 _NAME_EXTRA = set("_:-.")
+
+#: content-model groups nest at most this deep.  The parser and the
+#: similarity matcher recurse once or more per level; at this depth a
+#: model with a starred sequence at every level still parses,
+#: serializes, validates, classifies and evolves under the default
+#: recursion limit (170 such levels overflow the matcher)
+MAX_DEPTH = 128
 
 
 def _is_name_start(char: str) -> bool:
@@ -115,11 +123,12 @@ def _read_suffix(scanner: _DTDScanner, model: Tree) -> Tree:
     return model
 
 
-def _parse_cp(scanner: _DTDScanner) -> Tree:
-    """Parse a content particle: name or parenthesised group, plus suffix."""
+def _parse_cp(scanner: _DTDScanner, depth: int) -> Tree:
+    """Parse a content particle of a group nested ``depth`` deep: name
+    or parenthesised group, plus suffix."""
     scanner.skip_whitespace()
     if scanner.peek() == "(":
-        group = _parse_group(scanner)
+        group = _parse_group(scanner, depth + 1)
         return _read_suffix(scanner, group)
     if scanner.peek() == "%":
         raise scanner.error("parameter-entity references are not supported")
@@ -127,13 +136,16 @@ def _parse_cp(scanner: _DTDScanner) -> Tree:
     return _read_suffix(scanner, Tree.leaf(name))
 
 
-def _parse_group(scanner: _DTDScanner) -> Tree:
-    """Parse ``( ... )`` — a choice, a sequence, or mixed content."""
+def _parse_group(scanner: _DTDScanner, depth: int) -> Tree:
+    """Parse ``( ... )`` — a choice, a sequence, or mixed content — as
+    the ``depth``-th nested group."""
+    if depth > MAX_DEPTH:
+        raise scanner.error(f"content model groups nested deeper than {MAX_DEPTH}")
     scanner.expect("(")
     scanner.skip_whitespace()
     if scanner.starts_with(cm.PCDATA):
         return _parse_mixed_tail(scanner)
-    first = _parse_cp(scanner)
+    first = _parse_cp(scanner, depth)
     scanner.skip_whitespace()
     separator = scanner.peek()
     if separator == ")":
@@ -144,7 +156,7 @@ def _parse_group(scanner: _DTDScanner) -> Tree:
     particles = [first]
     while scanner.peek() == separator:
         scanner.advance()
-        particles.append(_parse_cp(scanner))
+        particles.append(_parse_cp(scanner, depth))
         scanner.skip_whitespace()
         if scanner.peek() not in (separator, ")"):
             raise scanner.error(
@@ -201,7 +213,7 @@ def _parse_content(scanner: _DTDScanner) -> Tree:
         return cm.any_content()
     if scanner.peek() != "(":
         raise scanner.error("expected '(', 'EMPTY' or 'ANY'")
-    group = _parse_group(scanner)
+    group = _parse_group(scanner, 1)
     return _read_suffix(scanner, group)
 
 

@@ -4,7 +4,7 @@ The layer every serving stack carries, for the Figure-1 engine:
 
 - :mod:`repro.obs.tracing` — a :class:`Tracer` of nested monotonic
   :class:`Span`\\ s with a per-run ``trace_id``; the engine emits spans
-  for batches, documents, pipeline stages and evolution phases.  The
+  for batches, documents, Figure-1 phases and evolution phases.  The
   default :data:`NULL_TRACER` is a shared no-op: tracing costs one flag
   check until enabled.
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,

@@ -5,7 +5,7 @@ renders the run as fixed-width tables (the same
 :class:`~repro.metrics.report.Table` the benchmarks print):
 
 - **per-stage latency** — count, total, p50/p90/p99/max per span name
-  for the pipeline stages (``stage.*``), the per-document roots
+  for the Figure-1 phases (``stage.*``), the per-document roots
   (``doc``) and batches;
 - **slowest documents** — the ``doc`` spans ranked by duration, with
   their ``doc_id``/root-tag/DTD provenance attributes;

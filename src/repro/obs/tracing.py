@@ -5,7 +5,7 @@ monotonic-clock intervals arranged in a parent/child tree by a plain
 stack discipline: ``tracer.span(name)`` opens a child of whatever span
 is currently open, and closing restores the parent.  The engine opens
 one root span per batch (``batch``), one per document (``doc``), one
-per pipeline stage (``stage.classify`` … ``stage.drain``), and the
+per Figure-1 phase (``stage.classify`` … ``stage.drain``), and the
 :meth:`repro.perf.PerfCounters.timer` phases surface as ``phase.*``
 spans through the same seam the nanosecond counters use — so the trace
 and ``perf_snapshot()`` can never tell different stories.

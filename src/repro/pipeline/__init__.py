@@ -1,39 +1,26 @@
-"""The staged Figure-1 pipeline behind :class:`repro.core.engine.XMLSource`.
+"""The lifecycle of the Figure-1 loop that
+:class:`repro.core.engine.XMLSource` runs.
 
-- :mod:`repro.pipeline.context` — the per-document
-  :class:`PipelineContext` plus the public result records
-  (:class:`ProcessOutcome`, :class:`EvolutionEvent`);
-- :mod:`repro.pipeline.events` — the typed lifecycle event bus;
-- :mod:`repro.pipeline.stages` — the :class:`Stage` protocol, one
-  concrete stage per paper phase, and the :class:`Pipeline` driver.
-
-The engine remains the facade; import from here to compose stages
-differently or to observe the lifecycle.
+:mod:`repro.pipeline.events` holds the typed lifecycle events, the
+:class:`EventBus` they are announced on — the engine's one observable
+seam — and the loop's result records (:class:`ProcessOutcome`,
+:class:`EvolutionEvent`).
 """
 
-from repro.pipeline.context import EvolutionEvent, PipelineContext, ProcessOutcome
 from repro.pipeline.events import (
     LIFECYCLE_EVENTS,
     DocumentClassified,
     DocumentDeposited,
     DocumentRecorded,
     EventBus,
+    EvolutionEvent,
     EvolutionFinished,
     EvolutionStarted,
+    ProcessOutcome,
     RepositoryDrained,
-)
-from repro.pipeline.stages import (
-    CheckStage,
-    ClassifyStage,
-    DrainStage,
-    EvolveStage,
-    Pipeline,
-    RecordStage,
-    Stage,
 )
 
 __all__ = [
-    "PipelineContext",
     "ProcessOutcome",
     "EvolutionEvent",
     "EventBus",
@@ -44,11 +31,4 @@ __all__ = [
     "EvolutionStarted",
     "EvolutionFinished",
     "RepositoryDrained",
-    "Stage",
-    "Pipeline",
-    "ClassifyStage",
-    "RecordStage",
-    "CheckStage",
-    "EvolveStage",
-    "DrainStage",
 ]

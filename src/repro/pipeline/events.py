@@ -1,11 +1,11 @@
-"""Typed lifecycle events and the subscription bus.
+"""Typed lifecycle events, the subscription bus and the loop's results.
 
-Every phase transition of the Figure-1 loop is announced on an
-:class:`EventBus` as a typed, immutable event.  The engine's own
-bookkeeping — the evolution log — rides the same seam user observers
-do, so anything a future observability layer needs (drift telemetry,
-audit trails, replication hooks) subscribes without touching the
-pipeline:
+Every phase transition of the Figure-1 loop that
+:class:`~repro.core.engine.XMLSource` runs is announced on an
+:class:`EventBus` as a typed, immutable event.  The bus is the engine's
+one observable seam: its own bookkeeping — the evolution log — rides it
+the same way user observers (drift telemetry, audit trails) do,
+without touching the engine:
 
     source.events.subscribe(EvolutionFinished, on_evolution)
     source.events.subscribe_all(audit_logger)
@@ -24,6 +24,11 @@ Event catalogue, in emission order for one processed document::
 Events carry decisions, not counts: the fast-path counters live on
 :class:`repro.perf.PerfCounters` alone and are read through
 ``XMLSource.perf_snapshot()``.
+
+The loop's two result records live here too: :class:`ProcessOutcome`
+(what ``XMLSource.process`` returns) and :class:`EvolutionEvent` (one
+evolution-log entry, carried by the :class:`RepositoryDrained` that
+closes an evolution).
 """
 
 from __future__ import annotations
@@ -33,8 +38,43 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Type
 
 from repro.classification.classifier import ClassificationResult
 from repro.core.evolution import EvolutionResult
-from repro.pipeline.context import EvolutionEvent
 from repro.xmltree.document import Document
+
+
+class ProcessOutcome(NamedTuple):
+    """What happened to one processed document."""
+
+    document: Document
+    #: the DTD the document was classified into (None → repository)
+    dtd_name: Optional[str]
+    similarity: float
+    #: names of DTDs whose evolution this document triggered
+    evolved: List[str]
+    #: documents recovered from the repository by those evolutions
+    recovered: int
+
+    def as_json(self) -> dict:
+        """The JSON-able wire shape (document excluded; the caller
+        already has it).  Floats pass through untouched — ``json``
+        round-trips them bit-exactly — so serve-mode responses compare
+        float-identical to batch outcomes."""
+        return {
+            "dtd": self.dtd_name,
+            "similarity": self.similarity,
+            "evolved": list(self.evolved),
+            "recovered": self.recovered,
+        }
+
+
+class EvolutionEvent(NamedTuple):
+    """One entry of the evolution log."""
+
+    dtd_name: str
+    #: how many documents had been recorded when the trigger fired
+    documents_recorded: int
+    activation_score: float
+    result: EvolutionResult
+    recovered_from_repository: int
 
 
 class DocumentClassified(NamedTuple):

@@ -41,6 +41,8 @@ MAX_HEADERS = 64
 MAX_BODY = 8 * 1024 * 1024
 #: ``Content-Length = 1*DIGIT`` (RFC 7230 §3.3.2): ASCII digits only
 _DIGITS = re.compile(r"[0-9]+")
+#: ASCII whitespace, which a field name may not contain (RFC 7230 §3.2.4)
+_WHITESPACE = re.compile(rb"\s")
 
 REASONS = {
     200: "OK",
@@ -138,10 +140,12 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     request_line = await _read_line(reader)
     if not request_line:
         return None
-    parts = request_line.decode("latin-1").split()
+    # split the bytes: only ASCII whitespace separates (latin-1 text
+    # would also split on \xa0 and \x85)
+    parts = request_line.split()
     if len(parts) != 3:
         raise HttpError(400, "malformed request line")
-    method, target, version = parts
+    method, target, version = (part.decode("latin-1") for part in parts)
     if version not in ("HTTP/1.0", "HTTP/1.1"):
         raise HttpError(400, f"unsupported protocol {version}")
     headers: Dict[str, str] = {}
@@ -151,10 +155,16 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             break
         if count == MAX_HEADERS:
             raise HttpError(400, "too many headers")
-        name, separator, value = line.decode("latin-1").partition(":")
+        name, separator, value = line.partition(b":")
         if not separator:
             raise HttpError(400, "malformed header")
-        name, value = name.strip().lower(), value.strip()
+        # a field name is a token: empty, or with whitespace before the
+        # colon or before the first header, it is a 400 (RFC 7230 §3,
+        # §3.2.4); the value's optional whitespace is SP/HTAB only
+        if not name or _WHITESPACE.search(name):
+            raise HttpError(400, "malformed header name")
+        name = name.decode("latin-1").lower()
+        value = value.decode("latin-1").strip(" \t")
         if name == "content-length" and headers.get(name, value) != value:
             raise HttpError(400, "conflicting Content-Length")
         headers[name] = value

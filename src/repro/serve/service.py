@@ -33,11 +33,7 @@ Observability rides the existing seams: per-request spans spliced into
 a :class:`~repro.obs.tracing.Tracer`, request/latency/queue-depth
 instruments in a :class:`~repro.obs.metrics.MetricsRegistry` with
 Prometheus exposition on ``GET /metrics``, and engine perf counters
-mirrored on every scrape.  Checkpoints go through persistence format 3;
-any :class:`RuntimeWarning` a store raises during a checkpoint (e.g.
-``store_kind()`` falling back on an unknown backend) is surfaced — kept
-on :attr:`ReproService.store_warnings`, logged, and counted in
-``repro_serve_store_warnings_total`` — never swallowed.
+mirrored on every scrape.  Checkpoints go through persistence format 3.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ import asyncio
 import logging
 import time
 import uuid
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -202,8 +197,6 @@ class ReproService:
         self.drift: Optional[DriftMonitor] = None
         self._instance_id = uuid.uuid4().hex[:8]
         self._request_seq = 0
-        #: warnings surfaced by checkpoint writes (``warnings.WarningMessage``)
-        self.store_warnings: List[warnings.WarningMessage] = []
         #: completed checkpoint writes
         self.checkpoints = 0
         self.port: Optional[int] = None
@@ -378,10 +371,6 @@ class ReproService:
         )
         self._evolution_counter = registry.counter(
             "repro_serve_evolutions_total", "evolutions adopted while serving"
-        )
-        self._store_warning_counter = registry.counter(
-            "repro_serve_store_warnings_total",
-            "store warnings surfaced by checkpoint writes",
         )
         self._snapshot_age_gauge = registry.gauge(
             "repro_serve_snapshot_age_seconds",
@@ -722,7 +711,7 @@ class ReproService:
                 "new_dtd": serialize_dtd(event.result.new_dtd),
             }
         elif op.kind == "drain":
-            result = {"recovered": source.pipeline.drain()}
+            result = {"recovered": source.drain()}
         else:  # pragma: no cover - routes only enqueue known kinds
             raise ValueError(f"unknown write op {op.kind!r}")
         return result
@@ -778,27 +767,15 @@ class ReproService:
     # ------------------------------------------------------------------
 
     def _checkpoint(self) -> None:
-        """Snapshot the engine to ``checkpoint_path`` (format 3),
-        surfacing — never swallowing — any warning the store raises."""
+        """Snapshot the engine to ``checkpoint_path`` (format 3)."""
         path = self.config.checkpoint_path
         if not path:
             return
         from repro.core.persistence import save_source
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            save_source(self.source, path)
+        save_source(self.source, path)
         self._writes_since_checkpoint = 0
         self.checkpoints += 1
-        for caught_warning in caught:
-            self.store_warnings.append(caught_warning)
-            self._store_warning_counter.inc()
-            logger.warning(
-                "checkpoint %s: %s: %s",
-                path,
-                caught_warning.category.__name__,
-                caught_warning.message,
-            )
 
     # ------------------------------------------------------------------
     # Introspection endpoints
@@ -818,7 +795,6 @@ class ReproService:
             "repository_size": len(self.source.repository),
             "evolutions": self.source.evolution_count,
             "checkpoints": self.checkpoints,
-            "store_warnings": len(self.store_warnings),
         }
         return 200, http.json_response(200, body, keep_alive=keep_alive)
 

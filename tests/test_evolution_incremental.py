@@ -249,5 +249,5 @@ def test_standalone_drain_never_prunes():
         source.process(document)
     assert len(source.repository) > 0
     before = source.perf.drain_prune_skips
-    source._reclassify_repository()
+    source.drain()
     assert source.perf.drain_prune_skips == before

@@ -438,7 +438,7 @@ class TestEngineTracing:
         source.set_tracer(tracer)
         source.process_many(figure3_workload())
         source.evolve_now("figure3")
-        source.pipeline.drain()
+        source.drain()
         source.set_tracer(None)
         names = [span.name for span in tracer.spans]
         assert "evolve_now" in names

@@ -1,5 +1,5 @@
-"""Tests for the staged pipeline and its lifecycle event bus
-(repro.pipeline): stage composition, event sequences, injected
+"""Tests for the Figure-1 loop ``XMLSource`` runs and its lifecycle
+event bus (repro.pipeline): phase order, event sequences, injected
 classifications, and the memory-vs-sqlite store equivalence of the full
 engine.
 """
@@ -13,6 +13,7 @@ from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
+from repro.obs.tracing import Tracer
 from repro.perf import TIMER_NAMES
 from repro.pipeline import (
     LIFECYCLE_EVENTS,
@@ -22,11 +23,8 @@ from repro.pipeline import (
     EventBus,
     EvolutionFinished,
     EvolutionStarted,
-    Pipeline,
     RepositoryDrained,
-    Stage,
 )
-from repro.pipeline.context import PipelineContext
 from repro.triggers.trigger import TriggerSet
 from repro.xmltree.parser import parse_document
 
@@ -132,42 +130,99 @@ class TestSubscriberIsolation:
 
 
 # ----------------------------------------------------------------------
-# Stage composition
+# Phase order
 # ----------------------------------------------------------------------
 
 
+def _phases_per_document(tracer):
+    """Each traced document's ``stage.*`` children, in the order they
+    ran."""
+    spans = sorted(tracer.spans, key=lambda span: span.span_id)
+    children = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span.name)
+    return [children.get(span.span_id, []) for span in spans if span.name == "doc"]
+
+
 class TestPipelineComposition:
-    def test_source_exposes_the_staged_pipeline(self):
-        source = _source()
-        assert isinstance(source.pipeline, Pipeline)
-        assert [stage.name for stage in source.pipeline.stages] == [
-            "classify",
-            "record",
-            "check",
-            "evolve",
-            "drain",
+    def test_phases_run_in_figure1_order(self):
+        """A deposit stops after classify, an accepted document that
+        does not trigger stops after check, and the triggering one runs
+        evolve and drain as well."""
+        source = _source(sigma=0.3, min_documents=20)
+        tracer = Tracer()
+        source.set_tracer(tracer)
+        documents = [parse_document("<zzz><qqq/></zzz>")]
+        documents += figure3_workload(15, 15, seed=11)
+        outcomes = [source.process(document) for document in documents]
+        source.set_tracer(None)
+        assert source.evolution_count == 1
+        phases = ["stage.classify", "stage.record", "stage.check",
+                  "stage.evolve", "stage.drain"]
+        expected = [
+            phases[:1] if outcome.dtd_name is None
+            else phases if outcome.evolved
+            else phases[:3]
+            for outcome in outcomes
         ]
-
-    def test_stages_satisfy_the_protocol(self):
-        source = _source()
-        for stage in source.pipeline.stages:
-            assert isinstance(stage, Stage)
-
-    def test_run_returns_a_context(self):
-        source = _source()
-        ctx = source.pipeline.run(parse_document("<a><b>x</b><c>y</c></a>"))
-        assert isinstance(ctx, PipelineContext)
-        assert ctx.dtd_name == "figure3"
-        assert ctx.similarity == 1.0
-        assert ctx.outcome().dtd_name == "figure3"
+        assert expected[0] == phases[:1]
+        assert expected.count(phases) == 1
+        assert _phases_per_document(tracer) == expected
 
     def test_rejected_document_halts_after_classify(self):
         source = _source(sigma=0.9)
-        ctx = source.pipeline.run(parse_document("<zzz><qqq/></zzz>"))
-        assert ctx.halted
-        assert ctx.dtd_name is None
+        tracer = Tracer()
+        source.set_tracer(tracer)
+        outcome = source.process(parse_document("<zzz><qqq/></zzz>"))
+        assert outcome.dtd_name is None
+        assert outcome.evolved == [] and outcome.recovered == 0
         assert len(source.repository) == 1
         assert source.extended_dtd("figure3").document_count == 0
+        assert _phases_per_document(tracer) == [["stage.classify"]]
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_max_depth_documents_run_the_whole_loop(self, tmp_path, kind, traced):
+        """Documents as deep as the XML parser accepts are classified
+        valid, recorded invalid and deposited, then evolved, drained and
+        saved and loaded back, without exceeding the recursion limit."""
+        from repro.core.persistence import load_source, save_source, source_to_json
+        from repro.dtd.parser import parse_dtd
+        from repro.xmltree.parser import MAX_DEPTH
+
+        chain = "<a>" * (MAX_DEPTH - 1) + "x" + "</a>" * (MAX_DEPTH - 1)
+        valid = parse_document(f"<r>{chain}</r>")
+        invalid = parse_document(f"<r><b/>{chain}</r>")
+        foreign = parse_document(
+            "<q>" * MAX_DEPTH + "y" + "</q>" * MAX_DEPTH
+        )
+        assert valid.element_count() == foreign.element_count() == MAX_DEPTH
+        dtd = parse_dtd("<!ELEMENT r (a)*><!ELEMENT a (#PCDATA|a)*>", name="deep")
+        source = XMLSource(
+            [dtd],
+            EvolutionConfig(sigma=0.5, tau=0.01, min_documents=1),
+            auto_evolve=False,
+            store=kind,
+            tracer=Tracer() if traced else None,
+        )
+        outcomes = [source.process(d) for d in (valid, invalid, foreign)]
+        assert [o.dtd_name for o in outcomes] == ["deep", "deep", None]
+        assert outcomes[0].similarity == 1.0 > outcomes[1].similarity > 0.5
+        extended = source.extended_dtd("deep")
+        assert (extended.document_count, extended.valid_document_count) == (2, 1)
+        source.evolve_now("deep")
+        assert source.drain() == 0
+        assert len(source.repository) == 1
+        path = str(tmp_path / "state.json")
+        save_source(source, path)
+        restored = load_source(path)
+        try:
+            assert source_to_json(restored) == source_to_json(source)
+        finally:
+            restored.close()
+            source.close()
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +311,7 @@ class TestLifecycleEvents:
         source = _source(sigma=0.9)
         observed = _Recorder(source)
         source.process(parse_document("<zzz><qqq/></zzz>"))
-        recovered = source._reclassify_repository()
+        recovered = source.drain()
         assert recovered == 0
         drained = observed.events[-1]
         assert isinstance(drained, RepositoryDrained)

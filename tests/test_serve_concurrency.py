@@ -19,9 +19,6 @@ Four properties, each probed over real sockets with racing threads:
    store survives for crash-resume; neither a stuck read nor an idle
    keep-alive client holds the shutdown past its grace period.
 
-Plus the store-warning regression: checkpoints surface (never swallow)
-the ``store_kind()`` unknown-backend ``RuntimeWarning``.
-
 5. **Observability** — the ``/debug/*`` endpoints answer with their
    full schemas while deposits and classifies race (introspection is
    admission-exempt and never 429s), and the correlation id a response
@@ -40,12 +37,11 @@ import time
 
 import pytest
 
-from repro.classification.stores import MemoryStore, SqliteStore
+from repro.classification.stores import SqliteStore
 from repro.core.persistence import load_source
 from repro.obs import current_request_id
 from repro.pipeline.events import DocumentDeposited
 from repro.serve import ServeConfig, ServiceRunner
-from repro.xmltree.serializer import serialize_document
 
 from tests.serve_utils import (
     ServeClient,
@@ -565,82 +561,6 @@ def test_shutdown_returns_with_an_idle_keep_alive_client():
     finally:
         client.close()
         runner.stop()
-        source.close()
-
-
-# ----------------------------------------------------------------------
-# Store-warning surfacing (regression)
-# ----------------------------------------------------------------------
-
-class _ThirdPartyStore:
-    """An unknown backend: delegates to a MemoryStore without being one
-    (``store_kind()`` must warn, not guess)."""
-
-    def __init__(self):
-        self._inner = MemoryStore()
-
-    def add(self, document):
-        self._inner.add(document)
-
-    def __len__(self):
-        return len(self._inner)
-
-    def __iter__(self):
-        return iter(self._inner)
-
-    def drain(self):
-        return self._inner.drain()
-
-    def clear(self):
-        self._inner.clear()
-
-
-def test_checkpoint_surfaces_unknown_store_warning(tmp_path):
-    """A checkpoint over an unknown store backend records the snapshot
-    as 'memory' AND surfaces the RuntimeWarning: kept on
-    ``service.store_warnings``, counted in the metrics registry,
-    visible on /healthz — never swallowed."""
-    checkpoint = str(tmp_path / "state.json")
-    source = figure3_source(store=_ThirdPartyStore())
-    try:
-        with ServiceRunner(
-            source,
-            ServeConfig(checkpoint_path=checkpoint, checkpoint_every=1),
-        ) as runner:
-            client = ServeClient(runner.port)
-            status, _, _ = client.post(
-                "/deposit", {"xml": "<alien><x>0</x></alien>"}
-            )
-            assert status == 200
-            # checkpoint_every=1 → the deposit already checkpointed
-            service = runner.service
-            assert service.checkpoints == 1
-            assert len(service.store_warnings) == 1
-            warning = service.store_warnings[0]
-            assert warning.category is RuntimeWarning
-            assert "unknown document-store backend" in str(warning.message)
-
-            status, _, health = client.get("/healthz")
-            assert health["store_warnings"] == 1
-            status, _, metrics = client.get("/metrics")
-            assert "repro_serve_store_warnings_total 1" in metrics
-            client.close()
-
-        # shutdown checkpointed once more, surfacing the warning again
-        assert runner.service.checkpoints == 2
-        assert len(runner.service.store_warnings) == 2
-
-        # the snapshot fell back to 'memory' and still carries the data
-        restored = load_source(checkpoint)
-        try:
-            assert isinstance(restored.repository.store, MemoryStore)
-            assert len(restored.repository) == 1
-            assert [serialize_document(d) for d in restored.repository] == [
-                serialize_document(d) for d in source.repository
-            ]
-        finally:
-            restored.close()
-    finally:
         source.close()
 
 

@@ -127,7 +127,7 @@ def _run_batch(source, ops):
                 "new_dtd": serialize_dtd(event.result.new_dtd),
             }
         else:
-            body = {"recovered": source.pipeline.drain()}
+            body = {"recovered": source.drain()}
         responses.append(json.loads(json.dumps(body)))
     return responses
 

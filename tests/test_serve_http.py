@@ -6,10 +6,11 @@ list of requests parsed back to back, ending at a clean EOF (``None``)
 or at the first :class:`HttpError`, which closes the connection.
 
 - **Framing faults** — inputs that must be refused whole (RFC 7230
-  §3.3): more than ``MAX_HEADERS`` header *lines* (repeated names
-  included), a ``Content-Length`` that is not ``1*DIGIT``, two
-  ``Content-Length`` fields that disagree, and any
-  ``Transfer-Encoding``.
+  §3, §3.2.4, §3.3): more than ``MAX_HEADERS`` header *lines* (repeated
+  names included), a ``Content-Length`` that is not ``1*DIGIT``, two
+  ``Content-Length`` fields that disagree, any ``Transfer-Encoding``,
+  whitespace in a field name, and non-ASCII "whitespace" (``\xa0``,
+  ``\x85``) taken as a separator.
 - **Pinned behaviour** — the limits and splits that already held.
 - **Properties** — random bytes over an HTTP token alphabet yield only
   requests, ``None`` or ``HttpError``; well-formed requests sent back to
@@ -125,6 +126,33 @@ FRAMING_FAULTS = [
         _request("POST /a HTTP/1.1", "Transfer-Encoding:"),
         "transfer codings are not supported",
         id="transfer-encoding-empty",
+    ),
+    pytest.param(
+        # optional whitespace around a value is SP/HTAB only
+        _request("POST /a HTTP/1.1", "Content-Length: 3\xa0", body=b"abc"),
+        "malformed Content-Length",
+        id="content-length-trailing-nbsp",
+    ),
+    pytest.param(
+        # the request line splits on ASCII whitespace only
+        _request("GET\xa0/a\x85HTTP/1.1"),
+        "malformed request line",
+        id="request-line-non-ascii-separators",
+    ),
+    pytest.param(
+        _request("POST /a HTTP/1.1", "Content-Length : 3", body=b"abc"),
+        "malformed header name",
+        id="whitespace-before-the-colon",
+    ),
+    pytest.param(
+        _request("POST /a HTTP/1.1", " Content-Length: 3", body=b"abc"),
+        "malformed header name",
+        id="whitespace-before-the-first-header",
+    ),
+    pytest.param(
+        _request("GET /a HTTP/1.1", ": x"),
+        "malformed header name",
+        id="empty-header-name",
     ),
 ]
 

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable document stores (repro.classification.stores)."""
+"""Unit tests for the two document stores (repro.classification.stores)."""
 
 import os
 
@@ -15,6 +15,7 @@ from repro.classification.stores import (
     profile_document,
     store_kind,
 )
+from repro.xmltree.document import Document, Element, Text
 from repro.xmltree.parser import parse_document
 from repro.xmltree.serializer import serialize_document
 
@@ -105,15 +106,14 @@ class TestStoreContract:
         store.drain()
         store.add_many([documents[0], documents[2]])
         store.add(parse_document("<late/>"))
-        expected = [_xml(documents[0]), _xml(documents[2]), "<late/>"]
+        # built through the API: an empty text child, written as <s/>
+        store.add(Document(Element("q", children=[Element("s", children=[Text("")])])))
+        expected = [_xml(documents[0]), _xml(documents[2]), "<late/>", "<q><s/></q>"]
         assert list(store.texts()) == expected
         assert [_xml(d) for d in store] == expected
-        assert len(store) == 3  # reading texts removes nothing
+        assert len(store) == 4  # reading texts removes nothing
 
     def test_bulk_window_nests_and_reads_through(self, store):
-        bulk = getattr(store, "bulk", None)
-        if bulk is None:
-            pytest.skip("backend has no bulk window")
         with store.bulk():
             store.add(parse_document("<a/>"))
             with store.bulk():
@@ -324,13 +324,30 @@ class TestMakeStore:
         assert store_kind(sqlite_store) == "sqlite"
         sqlite_store.close()
 
-    def test_store_kind_warns_on_unknown_backend(self):
-        class Bogus:
-            def __repr__(self):
-                return "Bogus()"
+    def test_other_store_objects_rejected(self, tmp_path):
+        """Only the two backends exist: any other object passed as a
+        store raises ``TypeError`` wherever a store is accepted."""
+        from repro.core.engine import XMLSource
+        from repro.core.persistence import load_source, save_source
 
-        with pytest.warns(RuntimeWarning, match=r"Bogus\(\)"):
-            assert store_kind(Bogus()) == "memory"
+        class Lookalike:
+            """Has the whole store surface without being a store."""
+
+            supports_indexed_drain = False
+
+            def __getattr__(self, name):
+                return getattr(MemoryStore(), name)
+
+        path = str(tmp_path / "state.json")
+        save_source(XMLSource([]), path)
+        for make in (
+            lambda store: make_store(store),
+            lambda store: XMLSource([], store=store),
+            lambda store: load_source(path, store=store),
+        ):
+            for bogus in (Lookalike(), object(), 3):
+                with pytest.raises(TypeError, match="unsupported document store"):
+                    make(bogus)
 
 
 class TestRepositoryDelegation:
@@ -352,86 +369,6 @@ class TestRepositoryDelegation:
         repository = Repository()
         repository.add(parse_document("<a/>"))
         assert "1 documents" in repr(repository)
-
-
-class TestUnknownBackendPersistence:
-    """End-to-end regression for the ``store_kind()`` fallback: a source
-    over an unrecognised third-party store still snapshots completely —
-    the documents inline, the kind recorded as ``memory`` — and loads
-    back into a working MemoryStore-backed source."""
-
-    class _ThirdParty:
-        """Delegates to a MemoryStore without *being* one."""
-
-        def __init__(self):
-            self._inner = MemoryStore()
-
-        def add(self, document):
-            self._inner.add(document)
-
-        def __len__(self):
-            return len(self._inner)
-
-        def __iter__(self):
-            return iter(self._inner)
-
-        def drain(self):
-            return self._inner.drain()
-
-        def clear(self):
-            self._inner.clear()
-
-    def test_save_load_round_trip_falls_back_to_memory(self, tmp_path):
-        from repro.core.engine import XMLSource
-        from repro.core.persistence import load_source, save_source
-        from repro.dtd.parser import parse_dtd
-
-        dtd = parse_dtd("<!ELEMENT a (b)>\n<!ELEMENT b (#PCDATA)>", name="only")
-        source = XMLSource([dtd], store=self._ThirdParty())
-        source.repository.add(parse_document("<q><r>1</r></q>"))
-        source.repository.add(parse_document("<q><r>2</r></q>"))
-        path = str(tmp_path / "snapshot.json")
-
-        with pytest.warns(RuntimeWarning, match="unknown document-store backend"):
-            save_source(source, path)
-
-        import json
-
-        with open(path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        assert snapshot["repository"]["store"] == "memory"
-
-        restored = load_source(path)
-        try:
-            assert isinstance(restored.repository.store, MemoryStore)
-            assert [serialize_document(d) for d in restored.repository] == [
-                serialize_document(d) for d in source.repository
-            ]
-        finally:
-            restored.close()
-        source.close()
-
-    def test_snapshot_serializes_a_store_without_texts(self):
-        from repro.core.engine import XMLSource
-        from repro.core.persistence import source_to_json
-        from repro.xmltree.document import Document, Element, Text
-
-        store = self._ThirdParty()
-        assert not hasattr(store, "texts")
-        source = XMLSource([], store=store)
-        source.repository.add(parse_document("<q><r>1</r></q>"))
-        # built through the API: an empty text child, written as <s/>
-        source.repository.add(
-            Document(Element("q", children=[Element("s", children=[Text("")])]))
-        )
-
-        with pytest.warns(RuntimeWarning, match="unknown document-store backend"):
-            snapshot = source_to_json(source)
-        assert snapshot["repository"]["documents"] == [
-            "<q><r>1</r></q>", "<q><s/></q>",
-        ]
-        assert list(source.repository.texts()) == [_xml(d) for d in store]
-        source.close()
 
 
 class TestSqliteThreadHandoff:
