@@ -19,9 +19,10 @@ architecture"):
   current best (skipped similarities are still exact — the full
   ranking is realized lazily on first access).
 
-Both tiers disable themselves when a thesaurus tag matcher is active or
-the similarity weights are degenerate (``alpha`` or ``beta`` of 0), so
-results are bit-identical with the fast paths on or off.
+Both tiers follow the classifier's one ``fastpath`` switch and disable
+themselves when a thesaurus tag matcher is active or the similarity
+weights are degenerate (``alpha`` or ``beta`` of 0), so results are
+bit-identical with the fast paths on or off.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.classification.stores import (
     CandidateRow,
-    DocumentProfile,
     DrainQuery,
     profile_document,
 )
@@ -38,7 +38,7 @@ from repro.dtd import content_model as cm
 from repro.dtd.automaton import Validator
 from repro.dtd.dtd import DTD
 from repro.errors import ClassificationError
-from repro.perf import FastPathConfig, PerfCounters
+from repro.perf import PerfCounters
 from repro.similarity.evaluation import (
     DocumentEvaluation,
     evaluate_document,
@@ -50,13 +50,6 @@ from repro.similarity.triple import EvalTriple, SimilarityConfig
 from repro.xmltree.document import Document
 
 Ranking = List[Tuple[str, float]]
-
-
-#: one cheap pass over a document, everything the bounds need — the
-#: census now lives in :mod:`repro.classification.stores` as
-#: :func:`profile_document` so the indexed store persists the exact
-#: profile the scan path recomputes (this alias keeps internal naming)
-_DocumentCensus = DocumentProfile
 
 
 class _BoundData:
@@ -80,8 +73,18 @@ class _BoundData:
         self.has_any = has_any
         self.root = dtd.root
 
-    def upper_bound(self, census: _DocumentCensus, config: SimilarityConfig) -> float:
-        """A sound upper bound on the document's similarity.
+    def upper_bound(
+        self,
+        total_tags: int,
+        matched: int,
+        text_count: int,
+        weight: float,
+        root_tag: str,
+        config: SimilarityConfig,
+    ) -> float:
+        """A sound upper bound on a document's similarity, from its
+        profile (:class:`CandidateRow` fields, ``matched`` against this
+        DTD's vocabulary).
 
         Element vertices whose tag no content model references can
         never score common (they are plus, with at least their vertex
@@ -92,57 +95,29 @@ class _BoundData:
         ``E(u, r, W - u)`` because ``E`` is monotone (increasing in
         common, decreasing in plus/minus).  ``ANY`` declarations make
         everything matchable, so they yield the trivial bound 1.0.
+
+        Classification computes the profile per document; the drain
+        reads it from the store.
         """
         if self.has_any:
             return 1.0
-        unmatchable = 0.0
-        vocabulary = self.vocabulary
-        for tag, count in census.tag_counts.items():
-            if tag not in vocabulary:
-                unmatchable += count
+        unmatchable = float(total_tags - matched)
         root_minus = 0.0
-        if census.root_tag == self.root:
-            if census.root_tag not in vocabulary:
+        if root_tag == self.root:
+            if root_tag not in self.vocabulary:
                 # the root vertex itself is anchored onto the DTD root
                 # and scores common even when nothing references its tag
                 unmatchable -= 1.0
         else:
             root_minus = 1.0
-            if census.root_tag in vocabulary:
+            if root_tag in self.vocabulary:
                 # the root vertex is only ever compared to the DTD
                 # root, so it is plus despite its tag being referenced
                 unmatchable += 1.0
         if not self.allows_text:
-            unmatchable += census.text_count
+            unmatchable += text_count
         return EvalTriple(
-            plus=unmatchable, minus=root_minus, common=census.weight - unmatchable
-        ).evaluate(config)
-
-    def upper_bound_row(self, row: CandidateRow, config: SimilarityConfig) -> float:
-        """:meth:`upper_bound` recomputed from a persisted profile row.
-
-        Must agree with :meth:`upper_bound` bit-for-bit: the census
-        loop accumulates integer tag counts into a float, which equals
-        ``float(total_tags - matched)`` exactly (integer arithmetic,
-        well under 2**53), and the root/text adjustments follow the
-        same operation order.  Verified by the store differential
-        tests.
-        """
-        if self.has_any:
-            return 1.0
-        unmatchable = float(row.total_tags - row.matched)
-        root_minus = 0.0
-        if row.root_tag == self.root:
-            if row.root_tag not in self.vocabulary:
-                unmatchable -= 1.0
-        else:
-            root_minus = 1.0
-            if row.root_tag in self.vocabulary:
-                unmatchable += 1.0
-        if not self.allows_text:
-            unmatchable += row.text_count
-        return EvalTriple(
-            plus=unmatchable, minus=root_minus, common=row.weight - unmatchable
+            plus=unmatchable, minus=root_minus, common=weight - unmatchable
         ).evaluate(config)
 
 
@@ -218,7 +193,7 @@ class Classifier:
         threshold: float = 0.5,
         config: SimilarityConfig = SimilarityConfig(),
         tag_matcher: Optional[TagMatcher] = None,
-        fastpath: Optional[FastPathConfig] = None,
+        fastpath: bool = True,
         counters: Optional[PerfCounters] = None,
     ):
         if not 0.0 <= threshold <= 1.0:
@@ -228,8 +203,17 @@ class Classifier:
         self.threshold = threshold
         self.config = config
         self.tag_matcher = tag_matcher
-        self.fastpath = fastpath or FastPathConfig()
+        self.fastpath = fastpath
         self.counters = counters or PerfCounters()
+        # whether tiers 1 and 3 (and the drain's bound) run: they are
+        # exact only when validity and vocabulary overlap bound the
+        # similarity — a thesaurus matcher lets renamed tags score
+        # common, and a zero ``alpha``/``beta`` lets the DP tie-break
+        # onto optima that are not all-common
+        exact_tags = tag_matcher is None or isinstance(tag_matcher, ExactTagMatcher)
+        self._fast = (
+            fastpath and exact_tags and config.alpha > 0 and config.beta > 0
+        )
         self._matchers: Dict[str, StructureMatcher] = {}
         self._validators: Dict[str, Validator] = {}
         self._bounds: Dict[str, _BoundData] = {}
@@ -268,7 +252,7 @@ class Classifier:
         own cold caches and its own :class:`PerfCounters`.
 
         It shares this classifier's DTD objects, threshold, similarity
-        and fast-path configuration and tag matcher — everything a
+        configuration, ``fastpath`` flag and tag matcher — everything a
         decision depends on — so it stays exact only while nobody
         mutates those DTDs.  The engine never does: an evolution
         installs a new DTD object (DESIGN.md decision 6).
@@ -288,32 +272,11 @@ class Classifier:
         return self._dtds[name]
 
     # ------------------------------------------------------------------
-    # Fast-path applicability
-    # ------------------------------------------------------------------
-
-    def _exact_semantics(self) -> bool:
-        """True when the fast paths' exactness preconditions hold.
-
-        A thesaurus matcher lets renamed tags score common (so neither
-        validity nor vocabulary overlap bounds the similarity), and a
-        zero ``alpha``/``beta`` lets the DP tie-break onto optima that
-        are not all-common.
-        """
-        exact_tags = self.tag_matcher is None or isinstance(
-            self.tag_matcher, ExactTagMatcher
-        )
-        return exact_tags and self.config.alpha > 0 and self.config.beta > 0
-
-    # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
 
     def _score_with(
-        self,
-        matcher: StructureMatcher,
-        validator: Validator,
-        document: Document,
-        tier1: bool,
+        self, matcher: StructureMatcher, validator: Validator, document: Document
     ) -> Tuple[float, bool]:
         """Exact similarity of one document against one DTD.
 
@@ -322,7 +285,7 @@ class Classifier:
         1.0) without running the span DP.
         """
         counters = self.counters
-        if tier1:
+        if self._fast:
             counters.validations += 1
             if validator.is_valid(document):
                 counters.validity_short_circuits += 1
@@ -331,39 +294,18 @@ class Classifier:
         matcher.clear_cache()
         return similarity, False
 
-    def acceptance_bound(
-        self, document: Document, name: str
-    ) -> Optional[float]:
-        """A sound upper bound on ``document``'s similarity against one
-        DTD, or ``None`` when no sound bound is available.
-
-        This is the tier-3 vocabulary-overlap bound exposed for the
-        pruned post-evolution drain: a repository document whose bound
-        against the evolved DTD stays below ``sigma`` provably cannot
-        be recovered by it.  Unavailable (``None``) under inexact
-        semantics (thesaurus matcher, degenerate weights) or beyond the
-        DP depth guard; an ``ANY`` declaration yields the trivial bound
-        1.0, so callers never skip unsoundly.
-        """
-        if not self._exact_semantics():
-            return None
-        census = profile_document(document)
-        if census.height >= self.config.max_depth:
-            return None
-        return self._bounds[name].upper_bound(census, self.config)
-
     def drain_query(self, name: str) -> Optional[DrainQuery]:
-        """The pushed-down candidate conditions for an indexed pruned
-        drain against one DTD, or ``None`` when the drain must scan.
+        """The candidate conditions of a pruned drain against one DTD,
+        or ``None`` when no document can be ruled out.
 
-        ``None`` mirrors the two cases where :meth:`acceptance_bound`
-        cannot prune: inexact semantics (no sound bound at all) and an
+        ``None`` covers the two cases without a useful bound: inexact
+        semantics or the reference path (no sound bound at all) and an
         ``ANY`` declaration (trivial bound 1.0 for every document, so
-        an index query would just select everything).  The per-document
-        depth guard travels inside the query instead — documents at or
-        beyond ``max_depth`` are always candidates.
+        the query would just select everything).  The per-document
+        depth guard travels inside the query — documents at or beyond
+        ``max_depth`` are always candidates.
         """
-        if not self._exact_semantics():
+        if not self._fast:
             return None
         data = self._bounds[name]
         if data.has_any:
@@ -376,12 +318,20 @@ class Classifier:
         )
 
     def bound_from_row(self, name: str, row: CandidateRow) -> Optional[float]:
-        """:meth:`acceptance_bound` recomputed from a persisted profile
-        row — bit-identical to the census path, including the ``None``
-        beyond the depth guard."""
+        """The tier-3 bound of a stored document against one DTD, from
+        its profile row (``matched`` against that DTD's
+        :meth:`drain_query` vocabulary), or ``None`` beyond the DP
+        depth guard, where no sound bound exists."""
         if row.height >= self.config.max_depth:
             return None
-        return self._bounds[name].upper_bound_row(row, self.config)
+        return self._bounds[name].upper_bound(
+            row.total_tags,
+            row.matched,
+            row.text_count,
+            row.weight,
+            row.root_tag,
+            self.config,
+        )
 
     def rank(self, document: Document) -> Ranking:
         """Similarity of the document against every DTD, best first.
@@ -392,58 +342,53 @@ class Classifier:
         """
         if not self._dtds:
             raise ClassificationError("the classifier holds no DTDs")
-        tier1 = self.fastpath.validity_short_circuit and self._exact_semantics()
         scores = [
             (name, self._score_with(
-                self._matchers[name], self._validators[name], document, tier1
+                self._matchers[name], self._validators[name], document
             )[0])
             for name in self._dtds
         ]
         return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
 
+    def _bounds_for(self, document: Document) -> Dict[str, float]:
+        """Every DTD's tier-3 bound on ``document``; the trivial bound
+        1.0 for all when there is no sound one — inexact semantics,
+        the reference path, or a document at or beyond ``max_depth``,
+        where the DP truncates recursion and deflates the plus totals
+        the bound relies on."""
+        if self._fast:
+            profile = profile_document(document)
+            if profile.height < self.config.max_depth:
+                total_tags = profile.total_tags
+                return {
+                    name: data.upper_bound(
+                        total_tags,
+                        profile.matched(data.vocabulary),
+                        profile.text_count,
+                        profile.weight,
+                        profile.root_tag,
+                        self.config,
+                    )
+                    for name, data in self._bounds.items()
+                }
+        return dict.fromkeys(self._dtds, 1.0)
+
     def classify(self, document: Document) -> ClassificationResult:
-        """Pick the best DTD, or none when below the threshold ``sigma``."""
+        """Pick the best DTD, or none when below the threshold ``sigma``.
+
+        DTDs are scored best-bound-first; once a DTD's bound falls
+        below the best similarity seen, it and every later DTD are
+        skipped (tier 3) and join the lazily-realized ranking tail.
+        With only the trivial bound, every DTD is scored.
+        """
         if not self._dtds:
             raise ClassificationError("the classifier holds no DTDs")
         self.counters.documents_classified += 1
-        tier3 = self.fastpath.pruned_ranking and self._exact_semantics()
-        if tier3:
-            census = profile_document(document)
-            # beyond max_depth the DP truncates recursion, deflating the
-            # plus totals the bound relies on — fall back to full ranking
-            tier3 = census.height < self.config.max_depth
-        if not tier3:
-            return self._classify_full(document)
-        return self._classify_pruned(document, census)
-
-    def _classify_full(self, document: Document) -> ClassificationResult:
-        """The complete-ranking path (tier 3 inapplicable)."""
-        tier1 = self.fastpath.validity_short_circuit and self._exact_semantics()
-        short_circuited: Set[str] = set()
-        evaluated = self.rank(document)
-        best_name, best_similarity = evaluated[0]
-        if tier1 and best_similarity == 1.0:
-            # recover whether the winner was a validity short-circuit
-            # (the validator is cached and linear, far cheaper than
-            # re-running the DP-backed evaluation below)
-            if self._validators[best_name].is_valid(document):
-                short_circuited.add(best_name)
-        return self._finish(document, evaluated, evaluated, short_circuited)
-
-    def _classify_pruned(
-        self, document: Document, census: _DocumentCensus
-    ) -> ClassificationResult:
-        """The tier-3 best-bound-first loop; skipped DTDs join the
-        lazily-realized ranking tail."""
-        tier1 = self.fastpath.validity_short_circuit and self._exact_semantics()
-        short_circuited: Set[str] = set()
-        bounds = {
-            name: data.upper_bound(census, self.config)
-            for name, data in self._bounds.items()
-        }
+        bounds = self._bounds_for(document)
         order = sorted(self._dtds, key=lambda name: (-bounds[name], name))
         evaluated: Ranking = []
         skipped: List[str] = []
+        short_circuited: Set[str] = set()
         best_seen = float("-inf")
         for position, name in enumerate(order):
             if bounds[name] < best_seen:
@@ -452,7 +397,7 @@ class Classifier:
                 skipped = order[position:]
                 break
             similarity, shorted = self._score_with(
-                self._matchers[name], self._validators[name], document, tier1
+                self._matchers[name], self._validators[name], document
             )
             evaluated.append((name, similarity))
             if shorted:
@@ -464,16 +409,6 @@ class Classifier:
         if skipped:
             self.counters.bound_skips += len(skipped)
             ranking = self.deferred_ranking(document, evaluated, tuple(skipped))
-        return self._finish(document, evaluated, ranking, short_circuited)
-
-    def _finish(
-        self,
-        document: Document,
-        evaluated: Ranking,
-        ranking: Union[Ranking, Callable[[], Ranking]],
-        short_circuited: Set[str],
-    ) -> ClassificationResult:
-        """Apply the threshold and build the result."""
         best_name, best_similarity = evaluated[0]
         if best_similarity < self.threshold:
             return ClassificationResult(
@@ -501,12 +436,11 @@ class Classifier:
             (name, self._matchers[name], self._validators[name])
             for name in pruned
         ]
-        tier1 = self.fastpath.validity_short_circuit and self._exact_semantics()
         head = list(head)
 
         def realize() -> Ranking:
             tail = [
-                (name, self._score_with(matcher, validator, document, tier1)[0])
+                (name, self._score_with(matcher, validator, document)[0])
                 for name, matcher, validator in snapshot
             ]
             return sorted(head + tail, key=lambda pair: (-pair[1], pair[0]))

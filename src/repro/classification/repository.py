@@ -38,27 +38,21 @@ class Repository:
         """The backing :class:`DocumentStore`."""
         return self._store
 
-    @property
-    def supports_indexed_drain(self) -> bool:
-        """True when the backing store can answer a pruned drain with an
-        index query (see :class:`~repro.classification.stores.SqliteStore`)
-        instead of a whole-repository scan."""
-        return self._store.supports_indexed_drain
-
-    def candidates(self, query: DrainQuery) -> List[Tuple[int, CandidateRow]]:
-        """Index-selected ``(insertion id, profile row)`` candidate pairs
-        for one DTD's pruned drain, in insertion order (indexed stores
-        only)."""
+    def candidates(
+        self, query: Optional[DrainQuery]
+    ) -> List[Tuple[int, CandidateRow]]:
+        """``(insertion id, profile row)`` pairs in insertion order: one
+        DTD's pruned-drain candidates, or every document when ``query``
+        is ``None``."""
         return self._store.candidates(query)
 
     def fetch(self, ids: Sequence[int]) -> List[Document]:
-        """The documents behind the given insertion ids, in id order
-        (indexed stores only)."""
+        """The documents behind the given insertion ids, in id order."""
         return self._store.fetch(ids)
 
     def remove(self, ids: Sequence[int]) -> None:
         """Delete the documents behind the given insertion ids; all other
-        documents keep their order (indexed stores only)."""
+        documents keep their order."""
         self._store.remove(ids)
 
     def add(self, document: Document) -> None:
@@ -84,18 +78,6 @@ class Repository:
         xml_declaration=False)`` text, in insertion order (sqlite copies
         what it wrote, without parsing)."""
         return self._store.texts()
-
-    def is_empty(self) -> bool:
-        return len(self._store) == 0
-
-    def drain(self) -> List[Document]:
-        """Remove and return every held document, in insertion order,
-        for re-triage after an evolution (each document is then
-        classified exactly once per pass)."""
-        return self._store.drain()
-
-    def clear(self) -> None:
-        self._store.clear()
 
     def __repr__(self) -> str:
         return f"Repository({len(self._store)} documents)"

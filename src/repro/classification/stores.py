@@ -1,32 +1,35 @@
 """The two document stores backing the repository.
 
 The repository of Section 2 is, operationally, an ordered multiset of
-documents with exactly three lifecycle operations: *deposit* (a document
-no DTD describes well enough), *inspection* (iteration for clustering,
+documents with three lifecycle operations: *deposit* (a document no
+DTD describes well enough), *inspection* (iteration for clustering,
 and :meth:`~DocumentStore.texts` — the stored text, unparsed — for
-snapshots), and *drain* (remove every document for re-classification
-after an evolution).  :class:`DocumentStore` states that contract; two
-backends implement it, and :func:`make_store` accepts no other:
+snapshots), and *drain* (re-classify the held documents after an
+evolution and remove the recovered ones).  :class:`DocumentStore`
+states that contract; two backends implement all of it, and
+:func:`make_store` accepts no other:
 
-- :class:`MemoryStore` — a plain in-process list (the seed behaviour),
-  persisting nothing;
+- :class:`MemoryStore` — an in-process insertion-ordered map, persisting
+  nothing;
 - :class:`SqliteStore` — the one persisted backend: documents on disk
   with a persistent inverted tag→document index, so the pruned
-  post-evolution drain becomes an index lookup instead of a
-  whole-repository scan.
+  post-evolution drain's candidate screen is an index query.
 
-Write-path throughput: both accept :meth:`add_many` (the bulk contract
-— semantically a loop of :meth:`add`, but one transaction on sqlite)
-and a nestable ``bulk()`` context manager that defers per-document
-durability work (the sqlite commit) until the outermost window closes;
-in memory both are plain appends.
+Write-path throughput: both accept :meth:`~DocumentStore.add_many` (the
+bulk contract — semantically a loop of ``add``, but one transaction on
+sqlite) and a nestable ``bulk()`` context manager that defers
+per-document durability work (the sqlite commit) until the outermost
+window closes; in memory both are plain inserts.
 
-Indexed capability (``supports_indexed_drain``, true on sqlite only):
-the store persists each document's tag-vocabulary profile, so it can
-answer :meth:`SqliteStore.candidates` — the sound over-approximation of
-documents whose tier-3 acceptance bound against one DTD may be
-non-zero — plus :meth:`SqliteStore.fetch` and :meth:`SqliteStore.remove`
-by insertion id.  In memory the drain takes the scan path.
+Drain contract: every document has a monotone insertion id, and a
+store answers :meth:`~DocumentStore.candidates` — for a
+:class:`DrainQuery`, the sound over-approximation of documents whose
+tier-3 bound against one DTD may be non-zero; for ``None``, every
+document — plus :meth:`~DocumentStore.fetch` and
+:meth:`~DocumentStore.remove` by insertion id.  Sqlite applies the
+query's four conditions in SQL over its index, memory applies the same
+four in Python over each document's :func:`profile_document`; the two
+return the same ids and rows for the same documents.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import sqlite3
 import tempfile
 from contextlib import contextmanager
 from typing import (
+    AbstractSet,
     ContextManager,
     Dict,
     Iterable,
@@ -60,9 +64,9 @@ class DocumentProfile(NamedTuple):
     cheap pass over a document.
 
     This is the single census implementation shared by the classifier
-    (``_DocumentCensus`` is an alias) and the indexed store, so the
-    profile persisted at :meth:`SqliteStore.add` time is byte-for-byte
-    the census the scan path would recompute at drain time.
+    and both stores, so the profile :class:`SqliteStore` persists at
+    ``add`` time is exactly the one the classifier and
+    :class:`MemoryStore` compute from the document.
     """
 
     tag_counts: Dict[str, int]
@@ -74,6 +78,14 @@ class DocumentProfile(NamedTuple):
     @property
     def total_tags(self) -> int:
         return sum(self.tag_counts.values())
+
+    def matched(self, vocabulary: AbstractSet[str]) -> int:
+        """How many element vertices carry a tag in ``vocabulary``."""
+        matched = 0
+        for tag, count in self.tag_counts.items():
+            if tag in vocabulary:
+                matched += count
+        return matched
 
 
 def profile_document(document: Document) -> DocumentProfile:
@@ -124,7 +136,9 @@ class DrainQuery(NamedTuple):
 
 
 class CandidateRow(NamedTuple):
-    """One candidate's persisted profile, as the bound consumes it."""
+    """One candidate's profile, as the bound consumes it: ``matched``
+    counts the element vertices whose tag is in the query vocabulary
+    (0 when there is no query)."""
 
     total_tags: int
     matched: int
@@ -137,19 +151,15 @@ class CandidateRow(NamedTuple):
 @runtime_checkable
 class DocumentStore(Protocol):
     """The storage contract behind :class:`~repro.classification.repository.Repository`,
-    implemented by :class:`MemoryStore` and :class:`SqliteStore`.
+    implemented in full by :class:`MemoryStore` and :class:`SqliteStore`.
 
     Implementations must preserve insertion order and must not copy
-    semantics: a drained document is *gone* from the store (the sqlite
+    semantics: a removed document is *gone* from the store (the sqlite
     store returns structurally identical re-parsed documents).
     """
 
-    #: whether :meth:`SqliteStore.candidates`, ``fetch`` and ``remove``
-    #: can answer a pruned drain (sqlite only)
-    supports_indexed_drain: bool
-
     def add(self, document: Document) -> None:
-        """Append one document."""
+        """Append one document under the next insertion id."""
 
     def add_many(self, documents: Iterable[Document]) -> None:
         """Append documents in order — the bulk-ingestion contract:
@@ -172,26 +182,41 @@ class DocumentStore(Protocol):
         xml_declaration=False)`` — what snapshots copy.  The sqlite
         store returns the text it wrote at :meth:`add`."""
 
-    def drain(self) -> List[Document]:
-        """Remove and return every held document, in insertion order."""
+    def candidates(
+        self, query: Optional[DrainQuery]
+    ) -> List[Tuple[int, CandidateRow]]:
+        """``(insertion id, profile row)`` pairs in insertion order: the
+        documents meeting at least one :class:`DrainQuery` condition,
+        or every document when ``query`` is ``None``."""
 
-    def clear(self) -> None:
-        """Discard every held document."""
+    def fetch(self, ids: Sequence[int]) -> List[Document]:
+        """The held documents with these insertion ids, in id order."""
+
+    def remove(self, ids: Sequence[int]) -> None:
+        """Delete the documents with these insertion ids; every other
+        document keeps its id, hence its insertion order."""
 
 
 class MemoryStore:
-    """The in-RAM store — a plain ordered list (the seed behaviour)."""
+    """The in-RAM store: documents by monotone insertion id (from 1, as
+    on sqlite) in an insertion-ordered dict.
 
-    supports_indexed_drain = False
+    Profiles are not kept: :meth:`candidates` computes each document's
+    :func:`profile_document` when asked and applies the
+    :class:`DrainQuery` conditions to it in Python.
+    """
 
     def __init__(self) -> None:
-        self._documents: List[Document] = []
+        self._documents: Dict[int, Document] = {}
+        self._next_id = 1
 
     def add(self, document: Document) -> None:
-        self._documents.append(document)
+        self._documents[self._next_id] = document
+        self._next_id += 1
 
     def add_many(self, documents: Iterable[Document]) -> None:
-        self._documents.extend(documents)
+        for document in documents:
+            self.add(document)
 
     @contextmanager
     def bulk(self) -> Iterator["MemoryStore"]:
@@ -202,19 +227,51 @@ class MemoryStore:
         return len(self._documents)
 
     def __iter__(self) -> Iterator[Document]:
-        return iter(self._documents)
+        return iter(self._documents.values())
 
     def texts(self) -> Iterator[str]:
-        for document in self._documents:
+        for document in self._documents.values():
             yield serialize_document(document, xml_declaration=False)
 
-    def drain(self) -> List[Document]:
-        drained = self._documents
-        self._documents = []
-        return drained
+    def candidates(
+        self, query: Optional[DrainQuery]
+    ) -> List[Tuple[int, CandidateRow]]:
+        """:meth:`SqliteStore.candidates`, with the four conditions
+        applied in Python to each document's profile."""
+        vocabulary = frozenset(query.vocabulary if query is not None else ())
+        rows: List[Tuple[int, CandidateRow]] = []
+        for doc_id, document in self._documents.items():
+            profile = profile_document(document)
+            matched = profile.matched(vocabulary)
+            if query is None or (
+                matched > 0
+                or profile.height >= query.max_depth
+                or profile.root_tag == query.dtd_root
+                or (query.allows_text and profile.text_count > 0)
+            ):
+                rows.append(
+                    (
+                        doc_id,
+                        CandidateRow(
+                            total_tags=profile.total_tags,
+                            matched=matched,
+                            text_count=profile.text_count,
+                            weight=profile.weight,
+                            height=profile.height,
+                            root_tag=profile.root_tag,
+                        ),
+                    )
+                )
+        return rows
 
-    def clear(self) -> None:
-        self._documents.clear()
+    def fetch(self, ids: Sequence[int]) -> List[Document]:
+        """The documents themselves (not copies), in insertion-id order."""
+        documents = self._documents
+        return [documents[doc_id] for doc_id in sorted(ids) if doc_id in documents]
+
+    def remove(self, ids: Sequence[int]) -> None:
+        for doc_id in ids:
+            self._documents.pop(doc_id, None)
 
     def __repr__(self) -> str:
         return f"MemoryStore({len(self._documents)} documents)"
@@ -242,9 +299,6 @@ class SqliteStore:
     inserts, and :meth:`close` commits them.  Removed rows' pages stay
     in the file for later inserts (no ``VACUUM``).
     """
-
-    #: the engine's drain pushes its candidate screen into the index
-    supports_indexed_drain = True
 
     _SCHEMA = (
         """
@@ -374,18 +428,6 @@ class SqliteStore:
     def __iter__(self) -> Iterator[Document]:
         return map(parse_document, self.texts())
 
-    def drain(self) -> List[Document]:
-        drained = list(self)
-        self.clear()
-        return drained
-
-    def clear(self) -> None:
-        self._connection.execute("DELETE FROM tags")
-        self._connection.execute("DELETE FROM documents")
-        self._connection.commit()
-        self._pending = 0
-        self._count = 0
-
     def close(self) -> None:
         """Commit pending inserts and close; delete the file if owned.
         Closing again is a no-op."""
@@ -395,20 +437,29 @@ class SqliteStore:
             os.remove(self.path)
         self._count = 0
 
-    # -- indexed capability --------------------------------------------
+    # -- drain -----------------------------------------------------------
 
-    def candidates(self, query: DrainQuery) -> List[Tuple[int, CandidateRow]]:
+    def candidates(
+        self, query: Optional[DrainQuery]
+    ) -> List[Tuple[int, CandidateRow]]:
         """The sound candidate set for one DTD's pruned drain.
 
         Returns ``(insertion id, profile row)`` pairs in insertion
         order for exactly the documents matching at least one
         :class:`DrainQuery` condition; every other document provably
-        has acceptance bound 0.0.  ``matched`` is the summed count of
+        has tier-3 bound 0.0.  ``matched`` is the summed count of
         document tags inside the DTD vocabulary — an exact integer, so
-        the caller reproduces the scan path's bound arithmetic
-        bit-for-bit in Python.
+        the caller computes the bound's float arithmetic in Python,
+        exactly as classification does.  With ``query`` ``None``,
+        every document is a candidate (``matched`` 0).
         """
         connection = self._connection
+        if query is None:
+            rows = connection.execute(
+                "SELECT id, total_tags, 0, text_count, weight, height, root_tag"
+                " FROM documents ORDER BY id"
+            ).fetchall()
+            return self._candidate_rows(rows)
         connection.execute(
             "CREATE TEMP TABLE IF NOT EXISTS drain_vocab (tag TEXT PRIMARY KEY)"
         )
@@ -443,6 +494,11 @@ class SqliteStore:
             },
         ).fetchall()
         connection.execute("DELETE FROM drain_vocab")
+        return self._candidate_rows(rows)
+
+    @staticmethod
+    def _candidate_rows(rows) -> List[Tuple[int, CandidateRow]]:
+        """Typed ``(id, row)`` pairs from a candidate ``SELECT``."""
         return [
             (
                 int(doc_id),

@@ -14,7 +14,7 @@ Subcommands::
 
     dtdevolve run --state state.json [--dtd schema.dtd] [--triggers rules.txt]
                   [--store {memory,sqlite}]
-                  [--checkpoint-every N] [--no-fastpath] [--report-perf]
+                  [--checkpoint-every N] [--report-perf]
                   [--trace out.json] [--trace-jsonl out.jsonl]
                   [--metrics out.prom] docs...
         Drive the full pipeline statefully: load (or initialise) a
@@ -22,9 +22,7 @@ Subcommands::
         and auto-evolving — and write the snapshot back.  Prints the
         outcome per document and any evolutions.  ``--store`` picks the
         repository backend, ``--checkpoint-every`` snapshots mid-run,
-        ``--no-fastpath`` forces the reference classification and
-        evolution paths, and
-        ``--report-perf`` prints the fast-path hit counters, the
+        and ``--report-perf`` prints the fast-path hit counters, the
         evolution/drain phase timers (the ``*_ns`` entries, wall-clock
         nanoseconds) and derived hit rates, grouped and sorted.
         ``--trace`` writes a Chrome trace-event JSON of the run
@@ -236,22 +234,13 @@ def _load_or_init_source(args: argparse.Namespace):
 
     from repro.core.engine import XMLSource
     from repro.core.persistence import load_source
-    from repro.perf import FastPathConfig
     from repro.triggers.trigger import TriggerSet
 
     triggers = None
     if getattr(args, "triggers", None):
         triggers = TriggerSet.parse(_read(args.triggers))
-    fastpath = (
-        FastPathConfig.disabled() if getattr(args, "no_fastpath", False) else None
-    )
     if os.path.exists(args.state):
-        return load_source(
-            args.state,
-            triggers=triggers,
-            fastpath=fastpath,
-            store=args.store,
-        )
+        return load_source(args.state, triggers=triggers, store=args.store)
     if not args.dtd:
         print(
             "error: --dtd is required when the state file does not exist",
@@ -266,7 +255,6 @@ def _load_or_init_source(args: argparse.Namespace):
         [parse_dtd(_read(args.dtd))],
         config,
         triggers=triggers,
-        fastpath=fastpath,
         store=args.store,
     )
 
@@ -368,6 +356,17 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unit_interval(text: str) -> float:
+    """An argparse type: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")  # rejected below, with the same message
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtdevolve",
@@ -421,12 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot the state file after every N documents (0 = only at the end)",
     )
     run.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        dest="no_fastpath",
-        help="disable the exact classification fast paths (reference code path)",
-    )
-    run.add_argument(
         "--report-perf",
         action="store_true",
         dest="report_perf",
@@ -476,10 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", choices=STORE_KINDS, default=None,
         help="repository backend (default: what the snapshot used, or memory)",
     )
-    serve.add_argument(
-        "--no-fastpath", action="store_true", dest="no_fastpath",
-        help="disable the exact classification fast paths",
-    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8750,
@@ -503,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve for S seconds then shut down gracefully (0 = until signalled)",
     )
     serve.add_argument(
-        "--trace-sample", type=float, default=0.0, dest="trace_sample",
+        "--trace-sample", type=_unit_interval, default=0.0, dest="trace_sample",
         metavar="RATE",
         help="head-sampling rate in [0,1] for always-on request tracing "
         "(slow/error requests are kept regardless; default 0.0)",

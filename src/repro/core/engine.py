@@ -43,7 +43,7 @@ from repro.core.recorder import Recorder
 from repro.dtd.dtd import DTD
 from repro.obs.logging import current_request_id
 from repro.obs.tracing import NULL_TRACER, Tracer
-from repro.perf import FastPathConfig, PerfCounters
+from repro.perf import PerfCounters
 from repro.pipeline.events import (
     DocumentClassified,
     DocumentDeposited,
@@ -84,7 +84,7 @@ class XMLSource:
         tag_matcher: Optional[TagMatcher] = None,
         auto_evolve: bool = True,
         triggers: Optional["TriggerSet"] = None,
-        fastpath: Optional[FastPathConfig] = None,
+        fastpath: bool = True,
         store: Union[None, str, MemoryStore, SqliteStore] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -94,9 +94,10 @@ class XMLSource:
         #: thesaurus matcher enables renames; the default exact matcher
         #: keeps the feature inert)
         self.tag_matcher = tag_matcher
-        #: fast-path switches shared by the classifier and the recorders
-        #: (exact-by-construction; see repro.perf)
-        self.fastpath = fastpath or FastPathConfig()
+        #: the one fast-path switch, shared by the classifier, the
+        #: recorders and the drain (exact by construction, so ``False``
+        #: only selects the reference path; see repro.perf)
+        self.fastpath = fastpath
         #: shared hit counters and phase timers across classification,
         #: recording and evolution — snapshot via :meth:`perf_snapshot`
         self.perf = PerfCounters()
@@ -510,65 +511,77 @@ class XMLSource:
         return finished
 
     def _drain(self, evolution: Optional[EvolutionFinished] = None) -> RepositoryDrained:
-        """Repository re-classification: retry every held document
-        against the (evolved) DTD set.  Returns the announced
-        :class:`RepositoryDrained`, which carries the completed
-        :class:`EvolutionEvent` when the drain closes ``evolution``
-        (the evolution log subscribes on exactly that).
+        """Repository re-classification: retry held documents against
+        the (evolved) DTD set and remove the recovered ones.  Returns
+        the announced :class:`RepositoryDrained`, which carries the
+        completed :class:`EvolutionEvent` when the drain closes
+        ``evolution`` (the evolution log subscribes on exactly that).
 
         Recovered documents go through the normal record path (they are
         now instances of a DTD and must count toward future triggers);
         evolution is *not* re-triggered while draining, to keep the
-        drain a single pass.
+        drain a single pass.  Candidates are classified in insertion-id
+        order and only recovered ones are removed, so the survivors keep
+        their insertion order on either store.
 
-        **Pruning** (``FastPathConfig.pruned_drain``): a drain that
-        closes an evolution re-evaluates only the documents the
-        evolution could have flipped.  The invariant — every repository
-        document sat below ``sigma`` against *every* DTD when it was
-        last examined, and only the evolved DTD has changed since —
-        means a document whose sound vocabulary-overlap bound against
-        the evolved DTD stays below ``sigma`` is provably still
-        unclassifiable; it is put back without constructing a single
-        evaluation.  When the evolution changed no declaration at all,
-        every document is skipped outright.  Skipped documents re-enter
-        the repository in drain order, so the surviving order (and
-        every downstream artefact) is bit-identical to the unpruned
-        pass; standalone drains (after ``mine_repository`` adds
-        brand-new DTDs) never prune, because the invariant does not
-        cover DTDs the documents have not seen.
-
-        **Indexing**: when the store is index-capable (``SqliteStore``)
-        the bound-vs-sigma candidate set is pushed down as an index
-        query instead of scanning every document — see
-        :meth:`_drain_indexed` and DESIGN.md decision 12 for why the
-        results stay bit-identical and order-preserving.
+        **Pruning** (on the fast path): every repository document sat
+        below ``sigma`` against *every* DTD when it was last examined,
+        and only the evolved DTD has changed since, so a document whose
+        sound vocabulary-overlap bound against it stays below ``sigma``
+        is provably still unclassifiable and is never read.  The store
+        screens candidates (an index query on sqlite) and the bound is
+        computed from each candidate's profile row by the function
+        classification uses (DESIGN.md decision 12); an evolution that
+        changed no declaration reads no row.  Without a prunable query —
+        the reference path, a standalone drain (``mine_repository``'s
+        new DTDs are outside the invariant), ``sigma`` 0, inexact
+        semantics, an ``ANY`` declaration — every document is a
+        candidate.
         """
-        prune_name: Optional[str] = None
-        prune_unchanged = False
-        if evolution is not None and self.fastpath.pruned_drain:
-            prune_name = evolution.dtd_name
-            prune_unchanged = not evolution.result.changed_declarations()
         sigma = self.classifier.threshold
-        # The indexed path only applies when the bound-vs-sigma prune is
-        # live at all: a pruning drain (evolved DTD known), a sigma that
-        # can actually reject (``bound < sigma`` is unsatisfiable at
-        # sigma 0 since bounds are >= 0), an index-capable store, and a
-        # pushable query (exact semantics, no ANY).  Everything else
-        # classifies every document anyway, so the scan drain is both
-        # simpler and no slower.
+        # the prune is live for a drain closing an evolution on the
+        # fast path at a sigma that can reject (bounds are >= 0, so
+        # ``bound < 0`` never holds); an evolution that changed no
+        # declaration leaves every document below sigma, so none is read
+        pruning = evolution is not None and self.fastpath and sigma > 0.0
+        unchanged = pruning and not evolution.result.changed_declarations()
         query = None
-        indexed = (
-            prune_name is not None
-            and sigma > 0.0
-            and self.repository.supports_indexed_drain
-        )
-        if indexed and not prune_unchanged:
-            query = self.classifier.drain_query(prune_name)
-            indexed = query is not None
-        if indexed:
-            recovered = self._drain_indexed(prune_name, prune_unchanged, query, sigma)
-        else:
-            recovered = self._drain_scan(prune_name, prune_unchanged, sigma)
+        if pruning and not unchanged:
+            query = self.classifier.drain_query(evolution.dtd_name)
+            pruning = query is not None
+        removed: List[int] = []
+        with self.perf.timer("drain_ns"):
+            classify_ids: List[int] = []
+            if not unchanged:
+                rows = self.repository.candidates(query)
+                if query is None:
+                    classify_ids = [doc_id for doc_id, _ in rows]
+                else:
+                    self.perf.index_rows += len(rows)
+                    for doc_id, row in rows:
+                        bound = self.classifier.bound_from_row(
+                            evolution.dtd_name, row
+                        )
+                        if bound is None or bound >= sigma:
+                            classify_ids.append(doc_id)
+            if pruning:
+                self.perf.drain_index_hits += 1
+                self.perf.drain_prune_skips += (
+                    len(self.repository) - len(classify_ids)
+                )
+            for doc_id, document in zip(
+                classify_ids, self.repository.fetch(classify_ids)
+            ):
+                classification = self.classifier.classify(document)
+                if classification.dtd_name is None:
+                    continue
+                removed.append(doc_id)
+                evaluation = (
+                    classification.evaluation if self.tag_matcher is None else None
+                )
+                self.recorders[classification.dtd_name].record(document, evaluation)
+            if removed:
+                self.repository.remove(removed)
         logged: Optional[EvolutionEvent] = None
         if evolution is not None:
             logged = EvolutionEvent(
@@ -576,100 +589,11 @@ class XMLSource:
                 evolution.documents_recorded,
                 evolution.activation_score,
                 evolution.result,
-                recovered,
+                len(removed),
             )
-        drained = RepositoryDrained(recovered, len(self.repository), logged)
+        drained = RepositoryDrained(len(removed), len(self.repository), logged)
         self.events.emit(drained)
         return drained
-
-    def _drain_scan(
-        self,
-        prune_name: Optional[str],
-        prune_unchanged: bool,
-        sigma: float,
-    ) -> int:
-        """The whole-repository drain: remove everything, classify what
-        the bound cannot rule out, re-add the rest in drain order."""
-        recovered = 0
-        with self.perf.timer("drain_ns"):
-            for document in self.repository.drain():
-                if prune_name is not None:
-                    bound = (
-                        0.0
-                        if prune_unchanged
-                        else self.classifier.acceptance_bound(document, prune_name)
-                    )
-                    if bound is not None and bound < sigma:
-                        self.repository.add(document)
-                        self.perf.drain_prune_skips += 1
-                        continue
-                classification = self.classifier.classify(document)
-                if classification.dtd_name is None:
-                    self.repository.add(document)
-                    continue
-                recovered += 1
-                evaluation = (
-                    classification.evaluation if self.tag_matcher is None else None
-                )
-                self.recorders[classification.dtd_name].record(document, evaluation)
-        return recovered
-
-    def _drain_indexed(
-        self,
-        prune_name: str,
-        prune_unchanged: bool,
-        query,
-        sigma: float,
-    ) -> int:
-        """The index-query drain: bit-identical to :meth:`_drain_scan`.
-
-        The store returns the sound candidate over-approximation (every
-        non-candidate provably has bound exactly 0.0 < sigma) in
-        insertion order; the exact bound is then recomputed *in Python*
-        from each candidate's persisted profile — the same float
-        arithmetic as ``acceptance_bound`` — so the classify-vs-skip
-        decisions match the scan path bit for bit.  Only recovered
-        documents are removed; skipped and still-failing documents are
-        never touched, so the surviving order is the original insertion
-        order restricted to survivors — exactly the scan path's
-        re-add-in-drain-order outcome.  An evolution that changed no
-        declaration skips the whole repository without reading a row.
-        """
-        recovered = 0
-        with self.perf.timer("drain_ns"):
-            total = len(self.repository)
-            classify_ids: List[int] = []
-            if not prune_unchanged:
-                candidates = self.repository.candidates(query)
-                self.perf.index_rows += len(candidates)
-                for doc_id, row in candidates:
-                    bound = self.classifier.bound_from_row(prune_name, row)
-                    if bound is not None and bound < sigma:
-                        continue
-                    classify_ids.append(doc_id)
-            self.perf.drain_prune_skips += total - len(classify_ids)
-            self.perf.drain_index_hits += 1
-            removed: List[int] = []
-            if classify_ids:
-                for doc_id, document in zip(
-                    classify_ids, self.repository.fetch(classify_ids)
-                ):
-                    classification = self.classifier.classify(document)
-                    if classification.dtd_name is None:
-                        continue
-                    removed.append(doc_id)
-                    recovered += 1
-                    evaluation = (
-                        classification.evaluation
-                        if self.tag_matcher is None
-                        else None
-                    )
-                    self.recorders[classification.dtd_name].record(
-                        document, evaluation
-                    )
-            if removed:
-                self.repository.remove(removed)
-        return recovered
 
     def mine_repository(
         self,

@@ -25,8 +25,10 @@ a fixed point of parse-then-serialize, so the copy equals a
 parse-and-serialize round trip byte for byte.  :func:`save_source`
 replaces the target file atomically.
 
-Runtime-only collaborators (trigger sets, tag matchers, fast-path
-configs) are *not* serialised; pass them again at load time.
+Runtime-only collaborators (trigger sets, tag matchers, the
+``fastpath`` flag) are *not* serialised; pass them again at load time.
+A file that is not a snapshot raises
+:class:`~repro.errors.SnapshotError`.
 
 Round-trip guarantee (tested): saving and loading a source yields one
 whose next evolution produces exactly the same DTD as the original
@@ -45,12 +47,15 @@ from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.core.extended_dtd import ElementRecord, ExtendedDTD
 from repro.dtd.dtd import DTD, AttributeDecl, ElementDecl
+from repro.errors import SnapshotError
 from repro.xmltree.parser import parse_document
 from repro.xmltree.tree import Tree
 
 FORMAT_VERSION = 3
 #: snapshot formats :func:`source_from_json` can restore
 SUPPORTED_FORMATS = (1, 2, 3)
+#: the top-level sections every supported format carries
+_SECTIONS = ("config", "auto_evolve", "documents_processed", "extended", "repository")
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +251,7 @@ def source_from_json(
     data: Dict[str, Any],
     tag_matcher=None,
     triggers=None,
-    fastpath=None,
+    fastpath: bool = True,
     store=None,
 ) -> XMLSource:
     """Restore a source snapshot (re-supply runtime collaborators).
@@ -262,10 +267,21 @@ def source_from_json(
     from before that backend was removed, restores into ``sqlite``: the
     documents are inline in the snapshot, and sqlite keeps them
     off-heap as jsonl did.
+
+    Raises :class:`~repro.errors.SnapshotError` when ``data`` is not an
+    object, names an unsupported ``format`` or lacks a top-level
+    section.
     """
+    if not isinstance(data, dict):
+        raise SnapshotError(
+            f"a snapshot is a JSON object, not {type(data).__name__}"
+        )
     version = data.get("format")
     if version not in SUPPORTED_FORMATS:
-        raise ValueError(f"unsupported snapshot format {version!r}")
+        raise SnapshotError(f"unsupported snapshot format {version!r}")
+    missing = [section for section in _SECTIONS if section not in data]
+    if missing:
+        raise SnapshotError(f"snapshot lacks section(s): {', '.join(missing)}")
     repository_data = data["repository"]
     if version == 1:
         # v1 wrote the repository as a bare list of XML strings
@@ -345,11 +361,15 @@ def load_source(
     path: str,
     tag_matcher=None,
     triggers=None,
-    fastpath=None,
+    fastpath: bool = True,
     store=None,
 ) -> XMLSource:
     """Read a source snapshot from a JSON file (see
-    :func:`source_from_json` for the keyword collaborators)."""
+    :func:`source_from_json` for the keyword collaborators); a file
+    that is not JSON raises :class:`~repro.errors.SnapshotError`."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise SnapshotError(f"{path} is not a JSON snapshot: {error}") from error
     return source_from_json(data, tag_matcher, triggers, fastpath, store)

@@ -64,3 +64,10 @@ class EvolutionError(ReproError):
 
 class MiningError(ReproError):
     """Raised for invalid mining parameters (e.g. support out of [0, 1])."""
+
+
+class SnapshotError(ReproError, ValueError):
+    """Raised when a source snapshot cannot be restored: not JSON, not a
+    JSON object, an unsupported ``format``, or a missing top-level
+    section.  It is also a ``ValueError``, which callers of the loader
+    catch."""

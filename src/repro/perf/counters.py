@@ -1,68 +1,17 @@
-"""Fast-path configuration, hit counters, and phase timers.
+"""Fast-path hit counters and phase timers.
 
-All classes are plumbing shared by the similarity matcher, the
+:class:`PerfCounters` is plumbing shared by the similarity matcher, the
 classifier, the evolution phase, and the
-:class:`repro.core.engine.XMLSource` pipeline; they carry no algorithmic
-behaviour of their own.
+:class:`repro.core.engine.XMLSource` pipeline; it carries no algorithmic
+behaviour of its own.  The fast paths themselves have one switch, the
+``fastpath`` flag of those classes (see :mod:`repro.perf`).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, NamedTuple
-
-
-class FastPathConfig(NamedTuple):
-    """Which classification and evolution fast paths are active.
-
-    Every tier is exact — disabling them changes speed, never results.
-    Tiers 1 and 3 additionally disable themselves at runtime whenever a
-    non-exact tag matcher (thesaurus) is installed or the similarity
-    weights make the short-circuit unsound (``alpha``/``beta`` of 0),
-    so a config with everything on is always safe to use.  The pruned
-    drain likewise sits out whenever the soundness preconditions of the
-    drain bound fail.
-
-    Parameters
-    ----------
-    validity_short_circuit:
-        Tier 1: run the Glushkov validator before the span DP; a valid
-        document scores 1.0 with a synthesized all-common evaluation.
-    structural_cache:
-        Tier 2: key matcher results by structural fingerprint (LRU
-        bounded by ``structural_cache_size``) instead of element
-        identity, sharing DP runs across identical subtrees and across
-        documents.
-    pruned_ranking:
-        Tier 3: evaluate DTDs best-upper-bound-first in
-        ``Classifier.classify`` and skip DTDs whose bound cannot beat
-        the current best (the full exact ranking stays available — it
-        is realized lazily on access).
-    pruned_drain:
-        After an evolution, skip repository documents whose sound
-        vocabulary-overlap upper bound against the evolved DTD stays
-        below ``sigma`` — they provably cannot be recovered.
-    structural_cache_size:
-        Maximum number of ``(declaration, mode, fingerprint)`` entries
-        retained per matcher before LRU eviction.
-    """
-
-    validity_short_circuit: bool = True
-    structural_cache: bool = True
-    pruned_ranking: bool = True
-    pruned_drain: bool = True
-    structural_cache_size: int = 4096
-
-    @classmethod
-    def disabled(cls) -> "FastPathConfig":
-        """All fast paths off — the seed code path, for equivalence tests."""
-        return cls(
-            validity_short_circuit=False,
-            structural_cache=False,
-            pruned_ranking=False,
-            pruned_drain=False,
-        )
+from typing import Dict, Iterator
 
 
 #: wall-clock phase timers (integer nanoseconds); they live in the same

@@ -44,7 +44,7 @@ class ServeSnapshot(NamedTuple):
     #: blake2b content address of the DTD set and sigma
     fingerprint: str
     #: the classifier readers use as is: the engine's DTD objects,
-    #: threshold, similarity config, tag matcher and fast-path config,
+    #: threshold, similarity config, tag matcher and ``fastpath`` flag,
     #: with its own caches and counters (see :meth:`Classifier.copy`)
     classifier: Classifier
     #: the DTD names of this epoch, in classifier order

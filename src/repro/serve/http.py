@@ -192,13 +192,16 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 
 
 def json_body(request: Request) -> Any:
-    """The request body as parsed JSON (400 on anything else)."""
+    """The request body as parsed JSON (400 on anything else, including
+    arrays or objects nested deeper than the decoder recurses)."""
     if not request.body:
         raise HttpError(400, "expected a JSON request body")
     try:
         return json.loads(request.body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise HttpError(400, f"invalid JSON body: {error}")
+    except RecursionError:
+        raise HttpError(400, "invalid JSON body: nested too deeply")
 
 
 def _response(

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dtd import content_model as cm
 from repro.dtd.dtd import DTD
-from repro.perf import FastPathConfig, PerfCounters
+from repro.perf import PerfCounters
 from repro.similarity.tags import ExactTagMatcher, TagMatcher
 from repro.similarity.triple import EvalTriple, SimilarityConfig, best
 from repro.xmltree.document import Element, Text
@@ -107,28 +107,32 @@ class StructureMatcher:
         Tag equality policy; defaults to exact matching.  A thesaurus
         matcher (Section 6 extension) discounts synonym matches.
     fastpath:
-        Fast-path switches (see :class:`repro.perf.FastPathConfig`).
-        Only ``structural_cache`` matters at this layer: when on, DP
-        results are interned by ``(declaration, mode, fingerprint)`` in
-        an LRU that survives :meth:`clear_cache`, so identical subtrees
-        across a document stream cost one DP run total.
+        The fast-path switch (see :mod:`repro.perf`).  At this layer it
+        turns on tier 2: DP results are interned by ``(declaration,
+        mode, fingerprint)`` in an LRU of :attr:`STRUCTURAL_CACHE_SIZE`
+        entries that survives :meth:`clear_cache`, so identical
+        subtrees across a document stream cost one DP run total.
     counters:
         Optional shared :class:`repro.perf.PerfCounters`; the matcher
         bumps cache-hit and DP counters into it.
     """
+
+    #: tier-2 LRU bound: ``(declaration, mode, fingerprint)`` entries
+    #: kept per matcher before the least recently used is evicted
+    STRUCTURAL_CACHE_SIZE = 4096
 
     def __init__(
         self,
         dtd: DTD,
         config: SimilarityConfig = SimilarityConfig(),
         tag_matcher: Optional[TagMatcher] = None,
-        fastpath: Optional[FastPathConfig] = None,
+        fastpath: bool = True,
         counters: Optional[PerfCounters] = None,
     ):
         self.dtd = dtd
         self.config = config
         self.tags = tag_matcher or ExactTagMatcher()
-        self.fastpath = fastpath or FastPathConfig()
+        self.fastpath = fastpath
         self.counters = counters
         self._min_weight_cache: Dict[str, float] = {}
         # keyed by id(element); the element itself is kept as a strong
@@ -203,7 +207,7 @@ class StructureMatcher:
             if cached is not None and cached[0] is element:
                 return cached[1]
         structural_key: Optional[Tuple[str, str, bytes]] = None
-        if self.fastpath.structural_cache:
+        if self.fastpath:
             info = element.structure_info()
             # local triples never recurse, so they are depth-free; global
             # triples are depth-free only while the max_depth recursion
@@ -234,7 +238,7 @@ class StructureMatcher:
         )
         if structural_key is not None:
             self._structural_cache[structural_key] = triple
-            if len(self._structural_cache) > self.fastpath.structural_cache_size:
+            if len(self._structural_cache) > self.STRUCTURAL_CACHE_SIZE:
                 self._structural_cache.popitem(last=False)
                 if counters is not None:
                     counters.structural_cache_evictions += 1
@@ -287,7 +291,7 @@ class StructureMatcher:
     def _items(self, element: Element, mode: str) -> List[_Item]:
         # structure_info().weight equals subtree_weight() exactly (both
         # sum the same integers); the cached form is O(1) amortised
-        use_cached_weight = self.fastpath.structural_cache
+        use_cached_weight = self.fastpath
         items: List[_Item] = []
         for child in element.children:
             if isinstance(child, Element):

@@ -94,18 +94,22 @@ class TestRepository:
             repository.add(document)
         assert len(repository) == 2
         assert list(repository) == documents
-        assert not repository.is_empty()
 
     def test_drain_without_predicate_takes_all(self):
+        """With no query every held document is a candidate; a drain
+        that recovers them all fetches and removes every one."""
         repository = Repository()
         documents = [parse_document("<a/>"), parse_document("<b/>")]
         for document in documents:
             repository.add(document)
-        assert repository.drain() == documents
-        assert repository.is_empty()
+        ids = [doc_id for doc_id, _ in repository.candidates(None)]
+        assert repository.fetch(ids) == documents
+        repository.remove(ids)
+        assert len(repository) == 0
 
     def test_clear(self):
         repository = Repository()
         repository.add(parse_document("<a/>"))
-        repository.clear()
-        assert repository.is_empty()
+        repository.remove([doc_id for doc_id, _ in repository.candidates(None)])
+        assert len(repository) == 0
+        assert list(repository) == []

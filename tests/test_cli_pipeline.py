@@ -1,8 +1,10 @@
 """CLI coverage for the pipeline-era ``run`` flags — ``--store``,
-``--checkpoint-every``, ``--no-fastpath``, ``--report-perf``,
-``--trace``/``--trace-jsonl``/``--metrics`` — and the ``report``
-subcommand."""
+``--checkpoint-every``, ``--report-perf``,
+``--trace``/``--trace-jsonl``/``--metrics`` — the ``report``
+subcommand, and the clean ``error:`` exits on bad state files and bad
+``serve`` options."""
 
+import functools
 import json
 
 import pytest
@@ -29,6 +31,17 @@ def workspace(tmp_path):
             path.write_text("<a><b>x</b><c>y</c><e>w</e></a>")
         documents.append(str(path))
     return str(dtd_path), documents
+
+
+@pytest.fixture
+def reference_path(monkeypatch):
+    """Fresh sources built by the CLI take the reference path
+    (``fastpath=False``) for the rest of the test."""
+    from repro.core import engine
+
+    monkeypatch.setattr(
+        engine, "XMLSource", functools.partial(engine.XMLSource, fastpath=False)
+    )
 
 
 class TestReportPerf:
@@ -58,13 +71,15 @@ class TestReportPerf:
         assert report["timers"]["evolve_ns"] == 0
         assert 0.0 <= report["derived"]["validity_short_circuit_rate"] <= 1.0
 
-    def test_no_fastpath_disables_the_counters(self, workspace, tmp_path, capsys):
+    def test_no_fastpath_disables_the_counters(
+        self, workspace, tmp_path, capsys, reference_path
+    ):
         dtd_path, documents = workspace
         state = str(tmp_path / "state.json")
         assert (
             main(
                 ["run", "--state", state, "--dtd", dtd_path, "--sigma", "0.3",
-                 "--no-fastpath", "--report-perf"]
+                 "--report-perf"]
                 + documents[:3]
             )
             == 0
@@ -131,15 +146,16 @@ class TestTraceFlags:
 
 
 class TestNoFastpathOutcomes:
-    def test_same_classification_lines_as_default(self, workspace, tmp_path, capsys):
+    def test_same_classification_lines_as_default(
+        self, workspace, tmp_path, capsys, request
+    ):
         dtd_path, documents = workspace
 
-        def run_lines(extra, state_name):
+        def run_lines(state_name):
             state = str(tmp_path / state_name)
             assert (
                 main(
                     ["run", "--state", state, "--dtd", dtd_path, "--sigma", "0.3"]
-                    + extra
                     + documents
                 )
                 == 0
@@ -147,7 +163,54 @@ class TestNoFastpathOutcomes:
             out = capsys.readouterr().out
             return [line for line in out.splitlines() if "similarity" in line]
 
-        assert run_lines([], "a.json") == run_lines(["--no-fastpath"], "b.json")
+        default = run_lines("a.json")
+        request.getfixturevalue("reference_path")
+        assert run_lines("b.json") == default
+
+
+class TestBadInput:
+    """Bad state files and bad ``serve`` options end in one ``error:``
+    line and a non-zero exit, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{}", "unsupported snapshot format None"),
+            ('{"format": 3}', "snapshot lacks section(s): config"),
+            ("[1, 2]", "a snapshot is a JSON object, not list"),
+            ("not json", "is not a JSON snapshot"),
+        ],
+        ids=["empty-object", "format-only", "list", "not-json"],
+    )
+    def test_bad_state_file(self, workspace, tmp_path, capsys, content, message):
+        dtd_path, documents = workspace
+        state = tmp_path / "state.json"
+        state.write_text(content)
+        assert main(
+            ["run", "--state", str(state), "--dtd", dtd_path] + documents[:1]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rate", ["2", "-0.5", "nan"])
+    def test_trace_sample_outside_the_unit_interval(
+        self, workspace, tmp_path, capsys, monkeypatch, rate
+    ):
+        import logging
+
+        monkeypatch.setattr(
+            logging.getLogger("repro.serve"), "handlers", [logging.NullHandler()]
+        )
+        dtd_path, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--state", str(tmp_path / "state.json"),
+                  "--dtd", dtd_path, "--port", "0", "--duration", "0.2",
+                  "--trace-sample", rate])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --trace-sample: expected a number in [0, 1]" in err
+        assert "Traceback" not in err
 
 
 class TestStoreFlag:

@@ -1,8 +1,8 @@
 """Differential harness for evolution runs and the pruned drain.
 
-Every scenario runs twice through freshly built engines — once with the
-full fast-path config (the classification tiers and the pruned drain),
-once with ``FastPathConfig.disabled()`` (the seed reference path) — and
+Every scenario runs twice through freshly built engines — once with
+``fastpath=True`` (the classification tiers and the pruned drain), once
+with ``fastpath=False`` (the reference path) — and
 the two runs must be **bit-identical** in everything observable:
 per-document outcomes, full exact rankings, evaluation triples,
 repository contents, the evolution log, the final DTD serializations,
@@ -27,11 +27,11 @@ from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
-from repro.perf import TIMER_NAMES, FastPathConfig, PerfCounters
+from repro.perf import TIMER_NAMES, PerfCounters
 from repro.xmltree.serializer import serialize_document
 
-FAST = FastPathConfig()
-REFERENCE = FastPathConfig.disabled()
+FAST = True
+REFERENCE = False
 
 
 def assert_fast_slow_identical(build_source, documents):
@@ -142,9 +142,9 @@ def test_differential_repeated_eras():
 @pytest.mark.parametrize("fastpath", [FAST, REFERENCE], ids=["pruned", "unpruned"])
 def test_drain_order_and_counts_across_stores(store_kind, fastpath):
     """The post-evolution drain recovers documents in deterministic
-    insertion order and identical counts on every backend (the memory
-    scan and the sqlite index query), pruned or not — the surviving
-    repository order is the insertion order."""
+    insertion order and identical counts on every backend (memory's
+    Python candidate screen and sqlite's index query), pruned or not —
+    the surviving repository order is the insertion order."""
     documents = (
         figure3_workload(20, 0, seed=11) + figure3_workload(0, 20, seed=12)
     )

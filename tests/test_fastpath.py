@@ -31,7 +31,7 @@ from repro.generators.scenarios import (
     figure3_workload,
     newsfeed_scenario,
 )
-from repro.perf import FastPathConfig, PerfCounters
+from repro.perf import PerfCounters
 from repro.similarity.evaluation import evaluate_document
 from repro.similarity.matcher import StructureMatcher
 from repro.similarity.tags import ThesaurusTagMatcher
@@ -93,7 +93,7 @@ def test_classifier_equivalence_on_vs_off():
     dtds, makers = _scenario_set()
     fast_counters = PerfCounters()
     fast = Classifier(dtds, threshold=0.5, counters=fast_counters)
-    slow = Classifier(dtds, threshold=0.5, fastpath=FastPathConfig.disabled())
+    slow = Classifier(dtds, threshold=0.5, fastpath=False)
     for document in _mixed_stream(makers):
         _assert_same_result(fast.classify(document), slow.classify(document))
     # the equivalence is only meaningful if the fast paths actually ran
@@ -106,7 +106,7 @@ def test_classifier_equivalence_on_vs_off():
 def test_rank_equivalence_on_vs_off():
     dtds, makers = _scenario_set()
     fast = Classifier(dtds, threshold=0.5)
-    slow = Classifier(dtds, threshold=0.5, fastpath=FastPathConfig.disabled())
+    slow = Classifier(dtds, threshold=0.5, fastpath=False)
     for document in _mixed_stream(makers, per_scenario=2):
         assert fast.rank(document) == slow.rank(document)
 
@@ -116,7 +116,7 @@ def _assert_same_engine_run(make_dtds, documents, config, tmp_path):
     evolution log, evolved DTDs, recorded aggregates (values and dict
     order) and saved bytes.  Returns the fast engine."""
     fast = XMLSource(make_dtds(), config)
-    slow = XMLSource(make_dtds(), config, fastpath=FastPathConfig.disabled())
+    slow = XMLSource(make_dtds(), config, fastpath=False)
     fast_outcomes = fast.process_many([d.copy() for d in documents])
     slow_outcomes = slow.process_many([d.copy() for d in documents])
     for ours, theirs in zip(fast_outcomes, slow_outcomes):
@@ -180,7 +180,7 @@ def test_degenerate_weights_stay_exact():
         counters = PerfCounters()
         fast = Classifier(dtds, threshold=0.5, config=config, counters=counters)
         slow = Classifier(
-            dtds, threshold=0.5, config=config, fastpath=FastPathConfig.disabled()
+            dtds, threshold=0.5, config=config, fastpath=False
         )
         for document in _mixed_stream(makers, per_scenario=2):
             _assert_same_result(fast.classify(document), slow.classify(document))
@@ -198,7 +198,7 @@ def test_beyond_max_depth_stays_exact():
     config = SimilarityConfig(max_depth=3)
     fast = Classifier([dtd], threshold=0.1, config=config)
     slow = Classifier(
-        [dtd], threshold=0.1, config=config, fastpath=FastPathConfig.disabled()
+        [dtd], threshold=0.1, config=config, fastpath=False
     )
     document = parse_document(xml)
     _assert_same_result(fast.classify(document), slow.classify(document))
@@ -286,14 +286,12 @@ def test_structural_cache_survives_clear_cache(simple_dtd):
     assert matcher.counters.structural_cache_hits > hits_before
 
 
-def test_lru_eviction_keeps_results_exact(simple_dtd):
+def test_lru_eviction_keeps_results_exact(simple_dtd, monkeypatch):
     """A tiny cache evicts constantly but never changes any similarity."""
-    fastpath = FastPathConfig(structural_cache_size=2)
+    monkeypatch.setattr(StructureMatcher, "STRUCTURAL_CACHE_SIZE", 2)
     counters = PerfCounters()
-    fast = Classifier(
-        [simple_dtd], threshold=0.1, fastpath=fastpath, counters=counters
-    )
-    slow = Classifier([simple_dtd], threshold=0.1, fastpath=FastPathConfig.disabled())
+    fast = Classifier([simple_dtd], threshold=0.1, counters=counters)
+    slow = Classifier([simple_dtd], threshold=0.1, fastpath=False)
     documents = [
         parse_document(f"<r><x>1</x><w{i}>s</w{i}><z>3</z></r>") for i in range(6)
     ] * 2
@@ -333,7 +331,7 @@ def test_pruned_ranking_skips_and_stays_exact():
     dtds, makers = _scenario_set()
     counters = PerfCounters()
     fast = Classifier(dtds, threshold=0.5, counters=counters)
-    slow = Classifier(dtds, threshold=0.5, fastpath=FastPathConfig.disabled())
+    slow = Classifier(dtds, threshold=0.5, fastpath=False)
     document = makers["auction"](1, seed=5)[0]
     fast_result = fast.classify(document)
     slow_result = slow.classify(document)
@@ -350,7 +348,7 @@ def test_lazy_ranking_survives_replace_dtd():
     replace_dtd cannot leak into an already-returned result."""
     dtds, makers = _scenario_set()
     fast = Classifier(dtds, threshold=0.5)
-    slow = Classifier(dtds, threshold=0.5, fastpath=FastPathConfig.disabled())
+    slow = Classifier(dtds, threshold=0.5, fastpath=False)
     document = makers["auction"](1, seed=5)[0]
     fast_result = fast.classify(document)
     slow_result = slow.classify(document)  # ranking fully realized eagerly
@@ -375,7 +373,7 @@ def test_thesaurus_disables_fast_paths(simple_dtd):
         [simple_dtd],
         threshold=0.1,
         tag_matcher=matcher,
-        fastpath=FastPathConfig.disabled(),
+        fastpath=False,
     )
     for xml in (
         "<r><x>1</x><y>2</y></r>",
@@ -399,7 +397,7 @@ def test_thesaurus_engine_equivalence():
         [figure3_dtd()],
         config,
         tag_matcher=matcher,
-        fastpath=FastPathConfig.disabled(),
+        fastpath=False,
     )
     for document in documents:
         ours = fast.process(document.copy())
@@ -436,8 +434,20 @@ def test_counters_reset():
 
 
 def test_fastpath_config_disabled():
-    disabled = FastPathConfig.disabled()
-    assert not disabled.validity_short_circuit
-    assert not disabled.structural_cache
-    assert not disabled.pruned_ranking
-    assert FastPathConfig().validity_short_circuit
+    """``fastpath=False`` switches every tier off at once: the same
+    stream that fires tiers 1-3 on the default path fires none."""
+    dtds, makers = _scenario_set()
+    documents = _mixed_stream(makers, per_scenario=2) * 2
+    counters = {}
+    for fastpath in (True, False):
+        counters[fastpath] = PerfCounters()
+        classifier = Classifier(
+            dtds, threshold=0.5, fastpath=fastpath, counters=counters[fastpath]
+        )
+        assert classifier.fastpath is fastpath
+        for document in documents:
+            classifier.classify(document)
+    tiers = ("validations", "validity_short_circuits", "structural_cache_hits",
+             "structural_cache_misses", "bound_skips")
+    assert all(getattr(counters[True], tier) > 0 for tier in tiers)
+    assert all(getattr(counters[False], tier) == 0 for tier in tiers)

@@ -295,34 +295,32 @@ class TestFormatVersions:
             source_from_json({"format": 99})
 
     def test_fastpath_collaborator_resupplied_at_load(self, tmp_path):
-        from repro.perf import FastPathConfig
-
         source = _fresh_source()
         path = str(tmp_path / "s.json")
         save_source(source, path)
-        restored = load_source(path, fastpath=FastPathConfig.disabled())
-        assert not restored.fastpath.validity_short_circuit
+        assert load_source(path).fastpath is True
+        restored = load_source(path, fastpath=False)
+        assert restored.fastpath is False
+        assert restored.classifier.fastpath is False
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
     def test_loaded_recorders_share_the_counters_and_fastpath(
         self, tmp_path, fast
     ):
         """A loaded source's recorders use the source's counters and
-        fast-path config, as a fresh source's do: with a tag matcher
+        ``fastpath`` flag, as a fresh source's do: with a tag matcher
         the record stage evaluates against the recorder's own matcher,
         so the DP work it does must show in the same counters."""
-        from repro.perf import FastPathConfig
         from repro.similarity.tags import ThesaurusTagMatcher
 
-        fastpath = FastPathConfig() if fast else FastPathConfig.disabled()
         matcher = ThesaurusTagMatcher([{"b", "bb"}])
         config = EvolutionConfig(sigma=0.3, min_documents=10 ** 9)
         original = XMLSource(
-            [figure3_dtd()], config, tag_matcher=matcher, fastpath=fastpath
+            [figure3_dtd()], config, tag_matcher=matcher, fastpath=fast
         )
         path = str(tmp_path / "empty.json")
         save_source(original, path)
-        loaded = load_source(path, tag_matcher=matcher, fastpath=fastpath)
+        loaded = load_source(path, tag_matcher=matcher, fastpath=fast)
 
         documents = figure3_workload(5, 30, seed=3)
         runs = []

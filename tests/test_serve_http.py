@@ -1,4 +1,5 @@
-"""Request framing of ``repro.serve.http.read_request``.
+"""Request framing of ``repro.serve.http.read_request``, and JSON
+bodies the decoder cannot take.
 
 The parser is fed through an ``asyncio.StreamReader`` (no sockets), so
 every row states exactly which bytes arrive and what comes out: the
@@ -15,11 +16,16 @@ or at the first :class:`HttpError`, which closes the connection.
 - **Properties** — random bytes over an HTTP token alphabet yield only
   requests, ``None`` or ``HttpError``; well-formed requests sent back to
   back parse back to the same list.
+- **Deep JSON** — a body nested past the decoder's recursion limit is a
+  400 on every JSON endpoint of a running service, and the connection
+  serves the next request.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import string
 
 import pytest
@@ -307,3 +313,43 @@ def test_back_to_back_requests_parse_back(batch):
     requests, error = parse_stream(b"".join(wire for wire, _ in batch))
     assert error is None
     assert [_view(request) for request in requests] == [view for _, view in batch]
+
+
+# ----------------------------------------------------------------------
+# Deep JSON: a 400, and the connection stays usable
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", ["/classify", "/deposit", "/evolve"])
+def test_deeply_nested_json_answers_400(path):
+    from repro.serve import ServeConfig, ServiceRunner
+
+    from tests.serve_utils import figure3_source
+
+    depth = 100_000  # a 200 kB body, far past the decoder's recursion limit
+    nested = b"[" * depth + b"]" * depth
+    probe = json.dumps({"xml": "<a><b>x</b><c>y</c></a>"})
+    source = figure3_source()
+    try:
+        with ServiceRunner(source, ServeConfig()) as runner:
+            conn = http.client.HTTPConnection("127.0.0.1", runner.port, timeout=10)
+            try:
+                conn.request("POST", path, body=nested,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 400, body
+                assert body["error"] == "invalid JSON body: nested too deeply"
+                assert response.getheader("Connection") == "keep-alive"
+                sock = conn.sock
+                conn.request("POST", "/classify", body=probe,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200, response.read()
+                assert json.loads(response.read())["dtd"] == "figure3"
+                assert conn.sock is sock  # the same connection answered
+            finally:
+                conn.close()
+        assert source.documents_processed == 0
+    finally:
+        source.close()

@@ -1,10 +1,11 @@
 """Store engine-equivalence differentials.
 
-The acceptance bar of the indexed-store work: the full engine pipeline
-— classification, mid-batch evolution, the pruned post-evolution drain,
+The acceptance bar of the store contract: the full engine pipeline —
+classification, mid-batch evolution, the pruned post-evolution drain,
 save/load resume — produces bit-identical observable state (outcomes,
-rankings, evolution log, repository content *and order*) whichever
-backend holds the repository (memory scan, sqlite indexed).
+rankings, evolution log, repository content *and order*) and the same
+drain counters whichever backend holds the repository (memory's Python
+candidate screen, sqlite's index query).
 
 The CI store-matrix job narrows the backend parameterization with
 ``REPRO_STORE_KINDS``; locally all backends run.
@@ -17,14 +18,12 @@ import os
 import pytest
 
 from repro.classification.classifier import Classifier
-from repro.classification.stores import SqliteStore
+from repro.classification.stores import MemoryStore, SqliteStore
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
 from repro.core.persistence import load_source, save_source
-from repro.dtd.parser import parse_dtd
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.scenarios import figure3_dtd, figure3_workload
-from repro.perf import FastPathConfig
 from repro.xmltree.parser import parse_document
 from repro.xmltree.serializer import serialize_document
 
@@ -35,7 +34,7 @@ _CONFIG = EvolutionConfig(sigma=0.55, tau=0.1, min_documents=5)
 STORE_KINDS = selected_store_kinds()
 
 
-def _source(kind, tmp_path, fastpath=None, auto_evolve=True, dtds=None,
+def _source(kind, tmp_path, fastpath=True, auto_evolve=True, dtds=None,
             config=_CONFIG):
     store = kind
     if kind == "sqlite":
@@ -152,28 +151,28 @@ class TestEngineEquivalenceAcrossBackends:
 
         (tmp_path / "ref").mkdir()
         (tmp_path / "mode").mkdir()
-        expected, _ = run("memory", "ref")
+        expected, expected_perf = run("memory", "ref")
         actual, perf = run(kind, "mode")
         assert actual == expected
         recovered = expected["evolution_log"][-1][-1]
         assert recovered == len(recoverable)  # the drain recovered them
         # the filler survived, in insertion order
         assert len(expected["repository"]) == len(filler) + len(deep)
-        if kind == "sqlite":
-            assert perf["drain_index_hits"] == 1
-            # the index pre-filtered the scan: candidate rows exclude
-            # the vocabulary-disjoint filler
-            assert perf["index_rows"] == len(recoverable) + len(deep)
-            assert perf["drain_prune_skips"] == len(filler)
+        counters = ("drain_index_hits", "index_rows", "drain_prune_skips")
+        assert {key: perf[key] for key in counters} == {
+            key: expected_perf[key] for key in counters
+        }
+        assert perf["drain_index_hits"] == 1
+        # the candidate screen excluded the vocabulary-disjoint filler
+        assert perf["index_rows"] == len(recoverable) + len(deep)
+        assert perf["drain_prune_skips"] == len(filler)
 
     @pytest.mark.parametrize("kind", STORE_KINDS)
     def test_matches_the_all_fastpaths_off_reference(self, tmp_path, kind):
-        """The seed code path (no pruning, no indexing) pins every fast
-        path at once."""
+        """The reference path (``fastpath=False``: no tiers, no
+        pruning) pins every fast path at once."""
         documents = figure3_workload(10, 10, seed=7)
-        reference = _source(
-            "memory", tmp_path, fastpath=FastPathConfig.disabled()
-        )
+        reference = _source("memory", tmp_path, fastpath=False)
         expected = _run(reference, documents)
         _close(reference)
         candidate = _source(kind, tmp_path)
@@ -264,40 +263,35 @@ class TestSaveLoadResumeAcrossBackends:
 
 
 class TestBoundRowAgreement:
-    """bound_from_row(candidate row) must equal acceptance_bound(doc)
-    bit for bit — the invariant the indexed drain stands on."""
+    """Both stores hand the drain the same candidate rows for the same
+    documents — the rows the one tier-3 bound function reads — and
+    every document they screen out has bound exactly 0.0."""
 
     def test_bounds_agree_on_generated_documents(self, tmp_path):
-        dtd = parse_dtd(
-            "<!ELEMENT a (b, c)><!ELEMENT b (#PCDATA)>"
-            "<!ELEMENT c (#PCDATA)>",
-            name="A",
-        )
-        classifier = Classifier([dtd], threshold=0.5)
-        store = SqliteStore(str(tmp_path / "bounds.sqlite"))
-        documents = [
-            parse_document(xml)
-            for xml in [
-                "<a><b>x</b><c>y</c></a>",
-                "<a><b>x</b><c>y</c><d/><d/></a>",
-                "<q><r/></q>",
-                "<a>just text</a>",
-                "<b><a/><c>t</c></b>",
-                "<x><b>v</b></x>",
-            ]
-        ]
-        for document in documents:
-            store.add(document)
-        query = classifier.drain_query("A")
+        filler, deep, recoverable, drift = _drain_workload()
+        documents = filler + deep + recoverable + drift
+        classifier = Classifier([figure3_dtd()], threshold=_CONFIG.sigma)
+        query = classifier.drain_query("figure3")
         assert query is not None
-        rows = dict(store.candidates(query))
-        candidate_ids = set(rows)
-        for doc_id, document in enumerate(documents, start=1):
-            expected = classifier.acceptance_bound(document, "A")
-            if doc_id not in candidate_ids:
-                # non-candidates are provably bound 0.0
-                assert expected == 0.0
-                continue
-            actual = classifier.bound_from_row("A", rows[doc_id])
-            assert actual == expected
-        store.close()
+        memory = MemoryStore()
+        sqlite = SqliteStore(str(tmp_path / "rows.sqlite"))
+        try:
+            for document in documents:
+                memory.add(document)
+                sqlite.add(document)
+            for each in (query, query._replace(allows_text=False), None):
+                assert memory.candidates(each) == sqlite.candidates(each)
+            rows = dict(memory.candidates(query))
+            # the screen keeps the recoverable, drift and deep documents
+            assert len(rows) == len(recoverable) + len(drift) + len(deep)
+            bounds = [
+                classifier.bound_from_row("figure3", row) for row in rows.values()
+            ]
+            assert None in bounds  # the deep documents have no sound bound
+            # a screened-out document matches nothing, so its
+            # query-free row (matched 0) is its row: bound exactly 0.0
+            for doc_id, row in memory.candidates(None):
+                if doc_id not in rows:
+                    assert classifier.bound_from_row("figure3", row) == 0.0
+        finally:
+            sqlite.close()

@@ -44,6 +44,11 @@ def _xml(document):
     return serialize_document(document, xml_declaration=False)
 
 
+def _ids(store):
+    """Every held document's insertion id, in insertion order."""
+    return [doc_id for doc_id, _ in store.candidates(None)]
+
+
 @pytest.fixture(params=selected_store_kinds())
 def store(request, tmp_path):
     if request.param == "memory":
@@ -68,31 +73,48 @@ class TestStoreContract:
         assert [_xml(d) for d in store] == [_xml(d) for d in documents]
 
     def test_drain_takes_all(self, store):
+        """With no query every document is a candidate: fetching and
+        removing them all is a drain that recovers everything."""
         documents = _documents()
         for document in documents:
             store.add(document)
-        drained = store.drain()
-        assert [_xml(d) for d in drained] == [_xml(d) for d in documents]
+        ids = _ids(store)
+        assert ids == [1, 2, 3]
+        fetched = store.fetch(ids)
+        assert [_xml(d) for d in fetched] == [_xml(d) for d in documents]
+        store.remove(ids)
         assert len(store) == 0
         assert list(store) == []
 
     def test_drain_empty(self, store):
-        assert store.drain() == []
+        assert store.candidates(None) == []
+        assert store.fetch([]) == []
+        store.remove([])
+        assert len(store) == 0
 
     def test_clear(self, store):
+        """Removing every id clears the store: no document, no text,
+        and no candidate row left for any query (sqlite deletes the
+        index rows with their documents)."""
         for document in _documents():
             store.add(document)
-        store.clear()
+        store.remove(_ids(store))
         assert len(store) == 0
         assert list(store) == []
+        assert list(store.texts()) == []
+        everything = DrainQuery(vocabulary=("a", "b", "c"), allows_text=True,
+                                dtd_root="a", max_depth=0)
+        assert store.candidates(everything) == []
+        assert store.candidates(None) == []
 
     def test_add_after_drain(self, store):
         for document in _documents():
             store.add(document)
-        store.drain()
+        store.remove(_ids(store))
         store.add(parse_document("<late/>"))
         assert len(store) == 1
         assert next(iter(store)).root.tag == "late"
+        assert _ids(store) == [4]  # insertion ids are never reused
 
     def test_add_many_preserves_order(self, store):
         documents = _documents()
@@ -103,7 +125,7 @@ class TestStoreContract:
     def test_texts_are_the_canonical_text_in_insertion_order(self, store):
         documents = _documents()
         store.add_many(documents)
-        store.drain()
+        store.remove(_ids(store))
         store.add_many([documents[0], documents[2]])
         store.add(parse_document("<late/>"))
         # built through the API: an empty text child, written as <s/>
@@ -121,6 +143,81 @@ class TestStoreContract:
             # reads inside the window already see every pending add
             assert [d.root.tag for d in store] == ["a", "b"]
         assert [d.root.tag for d in store] == ["a", "b"]
+
+    def test_insertion_ids_keep_order_across_removals(self, store):
+        for document in _documents():
+            store.add(document)
+        ids = [doc_id for doc_id, _ in store.candidates(
+            DrainQuery(vocabulary=("a", "b", "c"), allows_text=True,
+                       dtd_root="a", max_depth=50)
+        )]
+        assert ids == [1, 2, 3]
+        store.remove([ids[1]])
+        assert [d.root.tag for d in store] == ["a", "a"]
+        store.add(parse_document("<late/>"))  # appended after the gap
+        assert [d.root.tag for d in store] == ["a", "a", "late"]
+        assert _ids(store) == [1, 3, 4]
+        assert len(store) == 3
+
+    def test_candidates_select_exactly_the_four_conditions(self, store):
+        documents = [
+            parse_document("<a><b/></a>"),      # vocabulary overlap
+            parse_document("<z><q/></z>"),      # nothing: not a candidate
+            parse_document("<r><s>txt</s></r>"),  # text leaf (if allowed)
+            parse_document("<a><a><a><a/></a></a></a>"),  # deep: height guard
+        ]
+        for document in documents:
+            store.add(document)
+        query = DrainQuery(
+            vocabulary=("a", "b"), allows_text=False, dtd_root="a", max_depth=3
+        )
+        rows = store.candidates(query)
+        # doc 1 (vocab + root), doc 4 (vocab + height >= 3); never doc 2;
+        # doc 3 only when text is allowed
+        assert [doc_id for doc_id, _ in rows] == [1, 4]
+        with_text = store.candidates(query._replace(allows_text=True))
+        assert [doc_id for doc_id, _ in with_text] == [1, 3, 4]
+        by_id = dict(rows)
+        assert by_id[1].matched == 2 and by_id[1].total_tags == 2
+        assert by_id[4].matched == 4 and by_id[4].height == 3
+        # each condition alone selects: the root tag, and the depth guard
+        alone = DrainQuery(vocabulary=(), allows_text=False, dtd_root="r",
+                           max_depth=3)
+        assert [doc_id for doc_id, _ in store.candidates(alone)] == [3, 4]
+
+    def test_candidate_rows_reproduce_the_census(self, store):
+        """Every row equals profile_document for its document."""
+        documents = [
+            parse_document("<a><b>x</b><c/><b>y</b></a>"),
+            parse_document("<m><n><o>deep</o></n></m>"),
+        ]
+        for document in documents:
+            store.add(document)
+        # height >= max_depth 0 makes every document a candidate
+        everything = DrainQuery(vocabulary=("b", "zz"), allows_text=True,
+                                dtd_root="none", max_depth=0)
+        for query in (None, everything):
+            rows = store.candidates(query)
+            assert len(rows) == len(documents)
+            for (doc_id, row), document in zip(rows, documents):
+                profile = profile_document(document)
+                assert row.total_tags == profile.total_tags
+                assert row.matched == (
+                    profile.tag_counts.get("b", 0) if query is not None else 0
+                )
+                assert row.text_count == profile.text_count
+                assert row.weight == profile.weight
+                assert row.height == profile.height
+                assert row.root_tag == profile.root_tag
+
+    def test_fetch_returns_id_order(self, store):
+        for document in _documents():
+            store.add(document)
+        fetched = store.fetch([3, 1])
+        assert [d.root.tag for d in fetched] == ["a", "a"]
+        assert [_xml(d) for d in fetched] == [
+            _xml(_documents()[0]), _xml(_documents()[2])
+        ]
 
 
 class TestSqliteStore:
@@ -164,77 +261,6 @@ class TestSqliteStore:
         store.add(parse_document("<a/>"))
         store.close()
         assert os.path.exists(path)
-
-    def test_insertion_ids_keep_order_across_removals(self, tmp_path):
-        store = SqliteStore(str(tmp_path / "r.sqlite"))
-        for document in _documents():
-            store.add(document)
-        ids = [doc_id for doc_id, _ in store.candidates(
-            DrainQuery(vocabulary=("a", "b", "c"), allows_text=True,
-                       dtd_root="a", max_depth=50)
-        )]
-        store.remove([ids[1]])
-        assert [d.root.tag for d in store] == ["a", "a"]
-        store.add(parse_document("<late/>"))  # appended after the gap
-        assert [d.root.tag for d in store] == ["a", "a", "late"]
-        assert len(store) == 3
-        store.close()
-
-    def test_candidates_select_exactly_the_four_conditions(self, tmp_path):
-        store = SqliteStore(str(tmp_path / "r.sqlite"))
-        documents = [
-            parse_document("<a><b/></a>"),      # vocabulary overlap
-            parse_document("<z><q/></z>"),      # nothing: not a candidate
-            parse_document("<r><s>txt</s></r>"),  # text leaf (if allowed)
-            parse_document("<a><a><a><a/></a></a></a>"),  # deep: height guard
-        ]
-        for document in documents:
-            store.add(document)
-        query = DrainQuery(
-            vocabulary=("a", "b"), allows_text=False, dtd_root="a", max_depth=3
-        )
-        rows = store.candidates(query)
-        # doc 1 (vocab + root), doc 4 (vocab + height >= 3); never doc 2;
-        # doc 3 only when text is allowed
-        assert [doc_id for doc_id, _ in rows] == [1, 4]
-        with_text = store.candidates(query._replace(allows_text=True))
-        assert [doc_id for doc_id, _ in with_text] == [1, 3, 4]
-        by_id = dict(rows)
-        assert by_id[1].matched == 2 and by_id[1].total_tags == 2
-        assert by_id[4].matched == 4 and by_id[4].height == 3
-        store.close()
-
-    def test_candidate_rows_reproduce_the_census(self, tmp_path):
-        """The persisted profile equals profile_document for each doc."""
-        store = SqliteStore(str(tmp_path / "r.sqlite"))
-        documents = [
-            parse_document("<a><b>x</b><c/><b>y</b></a>"),
-            parse_document("<m><n><o>deep</o></n></m>"),
-        ]
-        for document in documents:
-            store.add(document)
-        rows = store.candidates(
-            DrainQuery(vocabulary=(), allows_text=True, dtd_root="none",
-                       max_depth=0)  # height >= 0 selects everything
-        )
-        assert len(rows) == len(documents)
-        for (doc_id, row), document in zip(rows, documents):
-            profile = profile_document(document)
-            assert row.total_tags == profile.total_tags
-            assert row.matched == 0
-            assert row.text_count == profile.text_count
-            assert row.weight == profile.weight
-            assert row.height == profile.height
-            assert row.root_tag == profile.root_tag
-        store.close()
-
-    def test_fetch_returns_id_order(self, tmp_path):
-        store = SqliteStore(str(tmp_path / "r.sqlite"))
-        for document in _documents():
-            store.add(document)
-        fetched = store.fetch([3, 1])
-        assert [d.root.tag for d in fetched] == ["a", "a"]
-        store.close()
 
     @staticmethod
     def _committed_rows(path, table="documents"):
@@ -288,8 +314,9 @@ class TestSqliteStore:
         with store.bulk():
             for document in _documents():
                 store.add(document)
-            drained = store.drain()
-            assert [d.root.tag for d in drained] == ["a", "b", "a"]
+            ids = _ids(store)
+            assert [d.root.tag for d in store.fetch(ids)] == ["a", "b", "a"]
+            store.remove(ids)
             assert self._committed_rows(path) == 0
             store.add(parse_document("<late/>"))
         assert len(store) == 1
@@ -333,8 +360,6 @@ class TestMakeStore:
         class Lookalike:
             """Has the whole store surface without being a store."""
 
-            supports_indexed_drain = False
-
             def __getattr__(self, name):
                 return getattr(MemoryStore(), name)
 
@@ -360,9 +385,10 @@ class TestRepositoryDelegation:
         repository.add(parse_document("<a/>"))
         assert len(repository) == 1
         assert len(backing) == 1
-        assert not repository.is_empty()
-        assert repository.drain()[0].root.tag == "a"
-        assert repository.is_empty()
+        ids = [doc_id for doc_id, _ in repository.candidates(None)]
+        assert repository.fetch(ids)[0].root.tag == "a"
+        repository.remove(ids)
+        assert len(repository) == 0 and len(backing) == 0
         backing.close()
 
     def test_repr_counts(self):
@@ -396,6 +422,5 @@ class TestSqliteThreadHandoff:
         thread.start()
         thread.join(timeout=30)
         assert failures == []
-        drained = store.drain()
-        assert len(drained) == 2
+        assert len(store.fetch(_ids(store))) == 2
         store.close()
